@@ -74,6 +74,7 @@ from . import library  # registers the built-in scenarios  # noqa: F401
 from ..serve import library as _serve_library  # registers serve-* scenarios  # noqa: F401
 from ..serve.policy import (ServePolicy, get_serve_policy, policy_grid,
                             resolve_serve_policy, serve_policy_names)
+from ..serve.streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
 #: facade entry points that already warned about a deprecated kwarg spelling
 #: (one warning per call site name, not one per call)
@@ -120,7 +121,8 @@ def serve(model, trace, schedule=None, *, batch_cap: int = 8, num_layers: int = 
           kv_mode: str = "paged", eviction_policy: str = "evict-lru",
           moe_compute_bw: int = 8192, attention_compute_bw: int = 256,
           seed: int = 0, report_mode: str = "full",
-          window_cycles: float = 100_000.0, sketch_accuracy: float = 0.01,
+          window_cycles: float = DEFAULT_WINDOW_CYCLES,
+          sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
           engine: str = "exact", cost_model=None,
           calibration_budget: int = 64):
     """Run one open-loop serving simulation and return its full report.
@@ -177,8 +179,9 @@ def serve_fleet(model, trace, schedule=None, *, num_replicas: int = 2,
                 eviction_policy: str = "evict-lru",
                 moe_compute_bw: int = 8192, attention_compute_bw: int = 256,
                 seed: int = 0, report_mode: str = "full",
-                window_cycles: float = 100_000.0,
-                sketch_accuracy: float = 0.01, engine: str = "exact",
+                window_cycles: float = DEFAULT_WINDOW_CYCLES,
+                sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
+                engine: str = "exact",
                 cost_model=None, calibration_budget: int = 64):
     """Serve one trace on a fleet of replicas and return its full report.
 

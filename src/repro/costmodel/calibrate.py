@@ -103,7 +103,9 @@ def run_probes(signatures: List[Signature], *, model, schedule: Schedule,
                kv_tile_rows: int = 64, moe_compute_bw: int = 8192,
                attention_compute_bw: int = 256,
                seed: int = 0) -> Tuple[List[Probe], str]:
-    """Cost each signature through the exact engine; returns (probes, context).
+    """Cost each signature through the exact engine.
+
+    Returns the probes and the context digest a fitted model must carry.
 
     Probes share the process-wide step memo with real serving runs, so
     calibration doubles as a warm-up of the exact path.
@@ -122,7 +124,7 @@ def run_probes(signatures: List[Signature], *, model, schedule: Schedule,
         cycles = scheduler._step_cycles(config, schedule, hardware, context,
                                         num_tokens, kv_lengths, {})
         probes.append((num_tokens, kv_lengths, cycles))
-    return probes, context
+    return probes, context.digest
 
 
 def calibrate_model(model, schedule: Optional[Schedule] = None,

@@ -49,7 +49,7 @@ class AdaptiveSurrogate:
     replaying their exact cycles after the fit.
     """
 
-    def __init__(self, config, schedule, hardware, context: str, *,
+    def __init__(self, config, schedule, hardware, context, *,
                  kind: str, budget: int) -> None:
         self._config = config
         self._schedule = schedule
@@ -68,7 +68,7 @@ class AdaptiveSurrogate:
     def _fit(self) -> None:
         probes = [(t, k, c) for (t, k), c in sorted(self._probes.items())]
         self._model = fit_from_probes(probes, kind=self._kind,
-                                      context_hash=self._context,
+                                      context_hash=self._context.digest,
                                       kv_tile_rows=self._config.kv_tile_rows)
 
     def cycles(self, num_tokens: int, kv_lengths: Tuple[int, ...],
@@ -92,8 +92,11 @@ class AdaptiveSurrogate:
         return cached
 
 
-def bind_cost_model(config, schedule, hardware, context: str) -> StepCostFn:
-    """The surrogate engine's step-cost callable for one replica run."""
+def bind_cost_model(config, schedule, hardware, context) -> StepCostFn:
+    """The surrogate engine's step-cost callable for one replica run.
+
+    ``context`` is the run's :class:`~repro.serve.scheduler.StepContext`.
+    """
     model = config.cost_model
 
     if model == "exact":
@@ -115,7 +118,7 @@ def bind_cost_model(config, schedule, hardware, context: str) -> StepCostFn:
     if not isinstance(model, CostModel):
         raise ConfigError(f"cost_model must resolve to a registered name or "
                           f"a CostModel, got {type(model).__name__!r}")
-    check_context(model, context)
+    check_context(model, context.digest)
 
     def predicted_cycles(num_tokens: int, kv_lengths: Tuple[int, ...],
                          signatures: Dict[Tuple, float]) -> float:

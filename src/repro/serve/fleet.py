@@ -53,6 +53,7 @@ from .policy import ServePolicy, resolve_serve_policy
 from .registry import attach_registry, resolve_registered, seal_builtins
 from .report import FleetReport, ReplicaReport, ScalingEvent
 from .scheduler import ReplicaEngine, ServeConfig
+from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +398,9 @@ class FleetWorkload(WorkloadBase):
     #: per-replica report mode: ``"full"`` or ``"streaming"``
     report_mode: str = "full"
     #: streaming timeline window width, in cycles
-    window_cycles: float = 100_000.0
+    window_cycles: float = DEFAULT_WINDOW_CYCLES
     #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = 0.01
+    sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY
     #: step-costing tier: ``"exact"`` simulates every step,
     #: ``"surrogate"`` predicts from a cost model
     engine: str = "exact"

@@ -57,6 +57,7 @@ from ..api.scenario import Scenario, register_scenario
 from ..core.errors import ConfigError
 from ..schedules import Schedule
 from ..workloads.configs import QWEN3_30B_A3B, scaled_config
+from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
 #: default arrival-rate ladder (requests per million cycles): light load,
 #: near-saturation and overload for the smoke-sized serving model (whose
@@ -415,8 +416,8 @@ def serve_multitenant(model_scale: int = 32, arrival_rate: float = 200.0,
 def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
                     num_requests: int = 48, batch_cap: int = 4,
                     num_layers: int = 2,
-                    sketch_accuracy: float = 0.01,
-                    window_cycles: float = 100_000.0,
+                    sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
+                    window_cycles: float = DEFAULT_WINDOW_CYCLES,
                     prompt_mean: float = SMOKE_LENGTHS["prompt_mean"],
                     prompt_max: int = SMOKE_LENGTHS["prompt_max"],
                     output_mean: float = SMOKE_LENGTHS["output_mean"],
@@ -550,7 +551,7 @@ def fleet_surrogate(model_scale: int = 32, arrival_rate: float = 2000.0,
                     routing: str = "least-loaded", batch_cap: int = 8,
                     num_layers: int = 2, engine: str = "surrogate",
                     cost_model: object = None, calibration_budget: int = 24,
-                    window_cycles: float = 100_000.0,
+                    window_cycles: float = DEFAULT_WINDOW_CYCLES,
                     prompt_mean: float = SMOKE_LENGTHS["prompt_mean"],
                     prompt_max: int = 384, output_mean: float = 8.0,
                     output_max: int = 24, kv_tile_rows: int = 64,

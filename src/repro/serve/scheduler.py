@@ -31,19 +31,25 @@ policy (each request's class at submit time) from the registries in
 hard-coded scheduler bit-identically (pinned in tier-1): FIFO admission,
 Orca-continuous batching, trace-assigned priorities.
 
-Step costs are memoized on a *step signature*: the token-batch size plus the
+A step is described by its *step signature*: the token-batch size plus the
 multiset of per-request KV lengths, quantized up to ``kv_tile_rows`` (the
-granularity at which the simulator tiles KV anyway).  Decode steps change
-signature only every ``kv_tile_rows`` generated tokens, so a serving run
-simulates a handful of distinct steps while replaying hundreds — and the
-memoization is invisible in the results: the report is a pure function of
-``(config, trace, schedule, hardware)``, bit-identical across runs.  The memo
-is **bounded** (:class:`StepMemo`): fleet sweeps over replicas × rates ×
-policies touch many distinct contexts, so the process-wide cache caps its
-entry count and evicts least-recently-used entries deterministically;
-:func:`step_cache_stats` exposes hit/miss/eviction counters for debugging
-(and every :meth:`~repro.serve.report.ServingReport.to_dict` snapshots them
-under ``"step_cache"``, so memoization efficacy is observable in sweeps).
+granularity at which the simulator tiles KV anyway).  Its cost is
+``(qkv + attention + moe) * num_layers``, and the memo keeps each sub-layer's
+cycles under exactly the inputs that sub-layer reads: QKV the token count,
+attention the KV multiset and the parallelization, MoE the token count, the
+routing seed and the MoE tiling (see :func:`_step_cycles`).  Decode steps
+change signature only every ``kv_tile_rows`` generated tokens, and new
+pairings of token counts with KV multisets reuse the sub-layers already
+seen, so a serving run simulates a handful of sub-layers while replaying
+hundreds of steps.  The memoization is invisible in the results: the report
+is a pure function of ``(config, trace, schedule, hardware)``, bit-identical
+across runs.  The memo is **bounded** (:class:`StepMemo`): fleet sweeps over
+replicas × rates × policies touch many distinct contexts, so the
+process-wide cache caps its entry count and evicts least-recently-used
+entries deterministically; :func:`step_cache_stats` exposes
+hit/miss/eviction counters of the sub-layer lookups for debugging (and every
+:meth:`~repro.serve.report.ServingReport.to_dict` snapshots them under
+``"step_cache"``, so memoization efficacy is observable in sweeps).
 
 **Two-tier costing.**  ``ServeConfig(engine="surrogate", cost_model=...)``
 swaps the per-step simulation for a cost model from :mod:`repro.costmodel`
@@ -105,7 +111,7 @@ from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
                         StreamingStats, make_streaming_stats,
                         resolve_report_mode)
-from .workload import ServeStepWorkload
+from .workload import ServeStepWorkload, moe_tile_rows
 
 #: how a step's latency is produced: ``"exact"`` simulates every distinct
 #: step through the event engine (the historical path), ``"surrogate"``
@@ -113,8 +119,8 @@ from .workload import ServeStepWorkload
 ENGINE_MODES = ("exact", "surrogate")
 
 #: entry cap of the process-wide step-cost memo.  Each entry is one simulated
-#: step cost (a float keyed by context + signature); the cap bounds a fleet
-#: sweep's footprint while staying far above what any single run touches.
+#: sub-layer cost (a float keyed by that sub-layer's inputs); the cap bounds a
+#: fleet sweep's footprint while staying far above what any single run touches.
 STEP_MEMO_MAXSIZE = 8192
 
 
@@ -132,7 +138,7 @@ class StepMemo:
         if maxsize < 1:
             raise ConfigError(f"StepMemo maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple[str, Tuple], float]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -140,7 +146,7 @@ class StepMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple[str, Tuple]) -> Optional[float]:
+    def get(self, key: Tuple) -> Optional[float]:
         try:
             value = self._entries[key]
         except KeyError:
@@ -150,7 +156,7 @@ class StepMemo:
         self.hits += 1
         return value
 
-    def put(self, key: Tuple[str, Tuple], value: float) -> None:
+    def put(self, key: Tuple, value: float) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = value
@@ -171,8 +177,8 @@ class StepMemo:
                 "evictions": self.evictions}
 
 
-#: (context key, step signature) -> step cycles, shared within the process so
-#: sweep points over the same model/schedule reuse each other's steps
+#: sub-layer key -> sub-layer cycles, shared within the process so sweep
+#: points over the same model and hardware reuse each other's sub-layers
 _STEP_MEMO = StepMemo()
 
 
@@ -298,46 +304,77 @@ class _Active:
         return self.request.prompt_tokens + self.generated
 
 
-def _context_key(config: ServeConfig, schedule: Schedule,
-                 hardware: HardwareConfig) -> str:
-    """The memo context: exactly the inputs that determine a step's cost.
+@dataclass(frozen=True)
+class StepContext:
+    """What a serving run's step costs depend on, hashed once per replica.
 
-    Deliberately excludes ``batch_cap``, ``kv_mode``, ``eviction_policy`` and
-    the whole ``policy`` spec (and the platform's HBM capacity) — they shape
-    *which* steps occur, never what one costs — so capacity/policy sweep
-    points share each other's steps.
+    ``digest`` hashes every input that determines a step's cost; fitted cost
+    models carry it.  It deliberately excludes ``batch_cap``, ``kv_mode``,
+    ``eviction_policy``, the whole ``policy`` spec and the platform's HBM
+    capacity: they shape *which* steps occur, never what one costs.
+    ``model_hardware`` hashes only the model and hardware, which every
+    sub-layer reads; the step memo keys each sub-layer on it plus that
+    sub-layer's own inputs (see :func:`_step_cycles`).
     """
-    return stable_hash({
-        "model": config.model,
-        "num_layers": config.num_layers,
-        "kv_tile_rows": config.kv_tile_rows,
-        "moe_compute_bw": config.moe_compute_bw,
-        "attention_compute_bw": config.attention_compute_bw,
-        "seed": config.seed,
-        "schedule": schedule,
-        "hardware": hardware,
-    })
+
+    digest: str
+    model_hardware: str
+
+
+def _context_key(config: ServeConfig, schedule: Schedule,
+                 hardware: HardwareConfig) -> StepContext:
+    """The :class:`StepContext` of one (config, schedule, hardware)."""
+    return StepContext(
+        digest=stable_hash({
+            "model": config.model,
+            "num_layers": config.num_layers,
+            "kv_tile_rows": config.kv_tile_rows,
+            "moe_compute_bw": config.moe_compute_bw,
+            "attention_compute_bw": config.attention_compute_bw,
+            "seed": config.seed,
+            "schedule": schedule,
+            "hardware": hardware,
+        }),
+        model_hardware=stable_hash({"model": config.model, "hardware": hardware}))
 
 
 def _step_cycles(config: ServeConfig, schedule: Schedule, hardware: HardwareConfig,
-                 context: str, num_tokens: int, kv_lengths: Tuple[int, ...],
+                 context: StepContext, num_tokens: int, kv_lengths: Tuple[int, ...],
                  fresh: Dict[Tuple, float]) -> float:
-    signature = (num_tokens, kv_lengths)
-    key = (context, signature)
-    cycles = _STEP_MEMO.get(key)
-    if cycles is None:
-        # routing depends only on the token count (plus the run seed), so
-        # steps with equal signatures are the same simulation
-        routing_seed = (config.seed * 1_000_003 + num_tokens) & 0x7FFFFFFF
+    """One step's cycles, composed from separately memoized sub-layer costs.
+
+    Each sub-layer is memoized under exactly the inputs its simulation reads
+    (:meth:`ServeStepWorkload.simulate_qkv` and its siblings).  QKV names no
+    schedule and no seed, so static and dynamic runs share it; attention
+    names the KV multiset and the parallelization; MoE names the token count,
+    the routing seed and the MoE tiling.  No key names ``num_layers``, which
+    multiplies the layer sum afterwards.  A new pairing of a token count with
+    a KV multiset then simulates only the sub-layers not seen before.
+    """
+    par = schedule.parallelization
+    # routing depends only on the token count (plus the run seed)
+    routing_seed = (config.seed * 1_000_003 + num_tokens) & 0x7FFFFFFF
+    keys = (("qkv", context.model_hardware, num_tokens, config.moe_compute_bw),
+            ("attention", context.model_hardware, kv_lengths, par.strategy,
+             par.num_regions, par.coarse_chunk, config.kv_tile_rows,
+             config.attention_compute_bw),
+            ("moe", context.model_hardware, num_tokens, routing_seed,
+             moe_tile_rows(schedule, num_tokens), schedule.moe_num_regions,
+             config.moe_compute_bw))
+    parts = [_STEP_MEMO.get(key) for key in keys]
+    if None in parts:
         step = ServeStepWorkload(
             model=config.model, num_tokens=num_tokens, kv_lengths=kv_lengths,
-            routing_seed=routing_seed, num_layers=config.num_layers,
-            kv_tile_rows=config.kv_tile_rows,
+            routing_seed=routing_seed, kv_tile_rows=config.kv_tile_rows,
             moe_compute_bw=config.moe_compute_bw,
             attention_compute_bw=config.attention_compute_bw)
-        cycles = step.run(schedule, hardware)["cycles"]
-        _STEP_MEMO.put(key, cycles)
-    fresh[signature] = cycles
+        simulations = (step.simulate_qkv, step.simulate_attention, step.simulate_moe)
+        for index, (key, simulate) in enumerate(zip(keys, simulations)):
+            if parts[index] is None:
+                parts[index] = simulate(schedule, hardware).cycles
+                _STEP_MEMO.put(key, parts[index])
+    cycles = fresh[(num_tokens, kv_lengths)] = ServeStepWorkload.compose(
+        *parts, config.num_layers)
     return cycles
 
 

@@ -9,7 +9,10 @@ Two adapters connect the serving simulator to the unified scenario API:
   (sub-layers are data dependent, so step latency is their sum, scaled by the
   layer count).  The scheduler maps every step it issues onto one of these,
   so serving rides the same builders, unified schedules and simulator as the
-  closed-loop experiments.
+  closed-loop experiments.  The scheduler calls the three sub-layer
+  simulations (``simulate_qkv`` / ``simulate_attention`` / ``simulate_moe``)
+  one at a time, memoizes each, and sums them with the same
+  :meth:`ServeStepWorkload.compose` as ``run``.
 * :class:`ServeWorkload` — a **whole serving run**: an arrival trace plus a
   batch cap; ``run`` executes the open-loop simulation
   (:func:`repro.serve.scheduler.simulate_serving`) under the given schedule
@@ -32,7 +35,7 @@ from ..core.errors import ConfigError
 from ..data.expert_routing import generate_routing_trace, representative_iteration
 from ..platforms import resolve_platform
 from ..schedules import Schedule
-from ..sim import simulate
+from ..sim import SimReport, simulate
 from ..sim.executors.common import HardwareConfig
 from ..workloads.attention import AttentionConfig, build_attention_layer
 from ..workloads.configs import ModelConfig
@@ -40,6 +43,17 @@ from ..workloads.moe import MoELayerConfig, build_moe_layer
 from ..workloads.qkv import QKVConfig, build_qkv_layer
 from .arrivals import ArrivalTrace
 from .policy import ServePolicy, resolve_serve_policy
+from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
+
+
+def moe_tile_rows(schedule: Schedule, num_tokens: int) -> Optional[int]:
+    """The schedule's MoE tile rows for a step of ``num_tokens`` tokens.
+
+    Static schedules may carry tiles larger than a step's token batch; those
+    clamp to the batch.  Dynamic tiling (``None``) stays ``None``.
+    """
+    tile_rows = schedule.moe_tile_rows
+    return tile_rows if tile_rows is None else min(tile_rows, num_tokens)
 
 
 @register_workload
@@ -81,40 +95,53 @@ class ServeStepWorkload(WorkloadBase):
         raise ConfigError("ServeStepWorkload is composite (three sub-layer programs); "
                           "use run() — there is no single Program to build")
 
-    def run(self, schedule: Schedule,
-            hardware: Optional[HardwareConfig] = None) -> Dict[str, float]:
-        hardware = resolve_platform(hardware).hardware
+    # -- the three sub-layer simulations, on a resolved HardwareConfig ------------
+    # Each reads only what its step-memo key in repro.serve.scheduler names:
+    # QKV no schedule, attention only the parallelization, MoE only the MoE
+    # tiling and the routing seed, and none of them num_layers.  All three
+    # take (schedule, hardware) so the scheduler can call them alike.
 
-        qkv = build_qkv_layer(QKVConfig(model=self.model, batch=self.num_tokens,
-                                        compute_bw=self.moe_compute_bw))
-        qkv_report = simulate(qkv.program, qkv.inputs(), hardware=hardware)
+    def simulate_qkv(self, schedule: Schedule, hardware: HardwareConfig) -> SimReport:
+        built = build_qkv_layer(QKVConfig(model=self.model, batch=self.num_tokens,
+                                          compute_bw=self.moe_compute_bw))
+        return simulate(built.program, built.inputs(), hardware=hardware)
 
+    def simulate_attention(self, schedule: Schedule,
+                           hardware: HardwareConfig) -> SimReport:
         par = schedule.parallelization
-        attn = build_attention_layer(AttentionConfig(
+        built = build_attention_layer(AttentionConfig(
             model=self.model, batch=len(self.kv_lengths), strategy=par.strategy,
             num_regions=par.num_regions, coarse_chunk=par.coarse_chunk,
             kv_tile_rows=self.kv_tile_rows, compute_bw=self.attention_compute_bw))
-        attn_report = simulate(attn.program, attn.inputs(list(self.kv_lengths)),
-                               hardware=hardware)
+        return simulate(built.program, built.inputs(list(self.kv_lengths)),
+                        hardware=hardware)
 
-        # static schedules may carry tiles larger than this step's token batch
-        tile_rows = schedule.moe_tile_rows
-        if tile_rows is not None:
-            tile_rows = min(tile_rows, self.num_tokens)
+    def simulate_moe(self, schedule: Schedule, hardware: HardwareConfig) -> SimReport:
         assignments = representative_iteration(generate_routing_trace(
             self.model, batch_size=self.num_tokens, num_iterations=1,
             seed=self.routing_seed))
-        moe = build_moe_layer(MoELayerConfig(
-            model=self.model, batch=self.num_tokens, tile_rows=tile_rows,
+        built = build_moe_layer(MoELayerConfig(
+            model=self.model, batch=self.num_tokens,
+            tile_rows=moe_tile_rows(schedule, self.num_tokens),
             num_regions=schedule.moe_num_regions,
             combine_output=schedule.moe_num_regions is None,
             compute_bw=self.moe_compute_bw))
-        moe_report = simulate(moe.program, moe.inputs(assignments), hardware=hardware)
+        return simulate(built.program, built.inputs(assignments), hardware=hardware)
 
-        reports = {"qkv": qkv_report, "attention": attn_report, "moe": moe_report}
-        layer_cycles = sum(r.cycles for r in reports.values())
+    @staticmethod
+    def compose(qkv: float, attention: float, moe: float, num_layers: int) -> float:
+        """A step's cycles from its sub-layers' cycles: their sum, per layer."""
+        return float((qkv + attention + moe) * num_layers)
+
+    def run(self, schedule: Schedule,
+            hardware: Optional[HardwareConfig] = None) -> Dict[str, float]:
+        hardware = resolve_platform(hardware).hardware
+        reports = {"qkv": self.simulate_qkv(schedule, hardware),
+                   "attention": self.simulate_attention(schedule, hardware),
+                   "moe": self.simulate_moe(schedule, hardware)}
         metrics: Dict[str, float] = {
-            "cycles": float(layer_cycles * self.num_layers),
+            "cycles": self.compose(*(r.cycles for r in reports.values()),
+                                   self.num_layers),
             "offchip_traffic_bytes": float(
                 sum(r.offchip_traffic for r in reports.values()) * self.num_layers),
             "onchip_memory_bytes": float(
@@ -166,9 +193,9 @@ class ServeWorkload(WorkloadBase):
     #: O(1)-memory sketches (:mod:`repro.serve.streaming`)
     report_mode: str = "full"
     #: streaming timeline window width, in cycles
-    window_cycles: float = 100_000.0
+    window_cycles: float = DEFAULT_WINDOW_CYCLES
     #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = 0.01
+    sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY
     #: step-costing tier: ``"exact"`` simulates every step,
     #: ``"surrogate"`` predicts from a cost model
     engine: str = "exact"

@@ -1,5 +1,9 @@
 """Tests for the simulation engine, channels and memory models."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import DeadlockError
@@ -7,6 +11,8 @@ from repro.core.stream import DONE, Data, Done
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
 from repro.sim.hbm import BandwidthLedger, BankedHBM, HBMModel
+from repro.workloads.configs import QWEN3_30B_A3B, scaled_config
+from repro.workloads.qkv import QKVConfig, build_qkv_layer
 
 
 class TestChannel:
@@ -25,6 +31,57 @@ class TestChannel:
         assert ch.full
         ch.pop(0.0)
         assert ch.empty and not ch.full
+
+
+class TestEngineRelease:
+    """A finished engine holds no reference cycle: it dies by refcount alone."""
+
+    def test_parked_processes_do_not_keep_the_engine_alive(self):
+        engine = Engine(timed=True)
+        ch = engine.add_channel("ch", capacity=1, latency=0.0)
+
+        def producer():  # still parked on a full channel when the sink ends
+            for i in range(8):
+                yield ("push", ch, Data(i))
+
+        def consumer():
+            for _ in range(2):
+                yield ("pop", ch)
+        engine.add_process("producer", producer())
+        engine.add_process("consumer", consumer(), is_sink=True)
+        ref = weakref.ref(engine)
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run()
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_simulate_frees_its_engine_and_keeps_outputs(self, monkeypatch):
+        from repro.sim import runner
+
+        engines = []
+        lower = runner.lower
+
+        def spy(*args, **kwargs):
+            lowered = lower(*args, **kwargs)
+            engines.append(weakref.ref(lowered.engine))
+            return lowered
+        monkeypatch.setattr(runner, "lower", spy)
+        model = replace(scaled_config(QWEN3_30B_A3B, scale=64),
+                        num_experts=2, experts_per_token=1)
+        built = build_qkv_layer(QKVConfig(model=model, batch=8))
+        gc.collect()
+        gc.disable()
+        try:
+            report = runner.simulate(built.program, built.inputs())
+            assert engines and all(ref() is None for ref in engines)
+        finally:
+            gc.enable()
+        assert report.cycles > 0
+        assert report.outputs and all(report.outputs.values())
 
 
 class TestEngineBasics:
