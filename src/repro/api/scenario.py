@@ -58,7 +58,7 @@ class Scenario:
     :class:`~repro.serve.policy.ServePolicy` (or preset name / spec dict),
     usually built with :func:`~repro.serve.policy.policy_grid`; every
     workload in the scenario must then carry a ``policy`` field
-    (:class:`~repro.serve.workload.ServeWorkload` /
+    (:class:`~repro.serve.scheduler.ServeWorkload` /
     :class:`~repro.serve.fleet.FleetWorkload`), and each grid cell runs the
     workload under that cell's policy.  ``seed`` feeds
     the sweep spec (tasks that consume seeds derive per-point seeds from it;

@@ -234,8 +234,9 @@ def _fleet_autoscale(scale: str) -> Scenario:
 # reports so nothing materializes per request.  The warm-repeat
 # cycles_per_second recorded here guards the fast path against regression;
 # the >= 10x two-tier headline is the *first-run* wall against the exact
-# twin of the same trace (engine="exact"), where the exact engine pays one
-# full simulation per distinct signature — see README "Cost models".
+# twin of the same trace (get_scenario("fleet-surrogate",
+# cost_model="exact")), where the exact engine pays one full simulation per
+# distinct signature — see README "Cost models".
 
 @register_case("fleet-surrogate-sweep",
                "fleet-scale heavy-tailed trace on the surrogate cost-model engine")

@@ -4,8 +4,10 @@ The exact event engine costs every serving step by simulating it
 (~0.8–1.6M simulated cycles/sec — fine for figures, the wall-clock
 bottleneck of fleet-scale sweeps).  This package adds the fast tier: cost
 models that predict a step's cycles from its signature, behind the shared
-serve registry (kind ``"costmodel"``), surfaced as
-``ServeConfig(engine="surrogate", cost_model=...)``.
+serve registry (kind ``"costmodel"``), selected by
+``ServeConfig(cost_model=...)``: ``"exact"`` (the default) is the event
+engine, ``"calibrated"`` / ``"table"`` calibrate a surrogate per run, and a
+fitted artifact predicts every step.
 
 * :mod:`repro.costmodel.models` — the artifacts: ``exact`` (delegates to
   the event engine), ``table`` (interpolated signature lookup),

@@ -4,9 +4,9 @@ Samples the step-signature space for one platform × schedule, costs every
 probe through the exact event engine, fits the requested surrogate kind
 (``calibrated`` by default, ``table`` for the lookup model), validates the
 residuals on a held-out probe slice and writes the artifact as JSON.  The
-artifact plugs straight into ``ServeConfig(engine="surrogate",
-cost_model=load_cost_model(path))`` or the ``serve``/``fleet`` sweep tasks
-(pass the ``to_dict()`` payload).
+artifact plugs straight into ``ServeConfig(cost_model=load_cost_model(path))``,
+``repro.api.serve(..., cost_model=...)`` or the ``serve``/``fleet`` sweep
+tasks (pass the ``to_dict()`` payload so the model's content keys the cache).
 
 Example::
 

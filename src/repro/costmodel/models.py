@@ -7,8 +7,8 @@ the dataflow event engine.  Three builtin kinds, behind the shared registry
 index of :mod:`repro.serve.registry` (kind ``"costmodel"``):
 
 * ``"exact"`` — delegates every signature to the event engine through the
-  process-wide step memo; bit-identical to ``engine="exact"``, the anchor
-  every surrogate is validated against,
+  process-wide step memo; the default ``cost_model`` and the anchor every
+  surrogate is validated against,
 * ``"table"`` — interpolated lookup over probed step signatures: exact
   matches replay the probed cycles, unseen signatures interpolate over the
   nearest probes in feature space,
@@ -192,16 +192,16 @@ class ExactCostModel(CostModel):
     """Delegates every signature to the event engine (via the step memo).
 
     The engine binds this kind straight to the memoized exact step-cost
-    path, so ``engine="surrogate", cost_model="exact"`` is bit-identical to
-    ``engine="exact"`` — the equivalence anchor.  It has no standalone
-    :meth:`predict`: a signature's exact cost *is* the simulation.
+    path: ``cost_model="exact"`` (the default) is the event engine, the
+    equivalence anchor.  It has no standalone :meth:`predict`: a signature's
+    exact cost *is* the simulation, so :func:`resolve_cost_model` turns an
+    instance or a ``{"kind": "exact"}`` payload back into the name.
     """
 
     def predict(self, num_tokens: int, kv_lengths: Sequence[int]) -> float:
         raise ConfigError("the exact cost model delegates to the event "
                           "engine; it has no standalone predict() — bind it "
-                          "through ServeConfig(engine='surrogate', "
-                          "cost_model='exact')")
+                          "through ServeConfig(cost_model='exact')")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "exact"}
@@ -466,26 +466,26 @@ def fit_from_probes(probes: Sequence[Sequence[Any]], *,
 def resolve_cost_model(value: Any) -> Any:
     """Normalize a ``cost_model=`` knob to a registered name or an artifact.
 
-    ``None`` means per-run adaptive calibration (``"calibrated"``); a string
-    must be a registered kind; a mapping is a serialized artifact; a
-    :class:`CostModel` instance passes through.  Anything else is a
-    :class:`ConfigError` — notably file *paths* are rejected here (load them
-    with :func:`load_cost_model` first) so sweep cache keys always hash the
-    model's content, never a mutable path.
+    A string must be a registered kind (``"exact"`` is the event engine,
+    ``"calibrated"`` / ``"table"`` per-run adaptive calibration); a mapping
+    is a serialized artifact; a :class:`CostModel` instance passes through,
+    except the exact model, which resolves to ``"exact"``.  Anything else is
+    a :class:`ConfigError` — notably file *paths* are rejected here (load
+    them with :func:`load_cost_model` first) so sweep cache keys always hash
+    the model's content, never a mutable path.
     """
-    if value is None:
-        return "calibrated"
-    if isinstance(value, CostModel):
-        return value
     if isinstance(value, str):
         resolve_registered("costmodel", value)
         return value
     if isinstance(value, Mapping):
-        return cost_model_from_dict(value)
+        value = cost_model_from_dict(value)
+    if isinstance(value, ExactCostModel):
+        return "exact"
+    if isinstance(value, CostModel):
+        return value
     raise ConfigError(
-        f"cost_model must be None, a registered name "
-        f"({cost_model_names()}), a CostModel, or a to_dict() payload; "
-        f"got {type(value).__name__!r}")
+        f"cost_model must be a registered name ({cost_model_names()}), a "
+        f"CostModel, or a to_dict() payload; got {type(value).__name__!r}")
 
 
 def cost_model_from_dict(payload: Mapping[str, Any]) -> CostModel:

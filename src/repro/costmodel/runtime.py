@@ -1,15 +1,12 @@
 """Binding cost models into :class:`~repro.serve.scheduler.ReplicaEngine`.
 
-:func:`bind_cost_model` turns a :class:`~repro.serve.scheduler.ServeConfig`
-with ``engine="surrogate"`` into a step-cost callable with the same
-contract as the scheduler's exact path: ``(num_tokens, kv_lengths,
-signatures) -> cycles``, recording every signature in the engine's
-per-run signature dict so ``distinct_steps`` stays meaningful.
+:func:`bind_cost_model` turns a :class:`~repro.serve.scheduler.ServeConfig`'s
+``cost_model`` into the engine's step-cost callable,
+``(num_tokens, kv_lengths, signatures) -> cycles``, recording every
+signature in the engine's per-run signature dict so ``distinct_steps``
+stays meaningful.  Every engine binds through it; there are three cases:
 
-Three bindings:
-
-* ``cost_model="exact"`` — straight to the memoized exact path;
-  bit-identical to ``engine="exact"``,
+* ``cost_model="exact"`` (the default) — the memoized exact path itself,
 * a fitted artifact (:class:`~repro.costmodel.models.TableCostModel` /
   :class:`~repro.costmodel.models.CalibratedCostModel`) — pure prediction
   after a context-hash check; the process-wide step memo is bypassed
@@ -28,6 +25,7 @@ Three bindings:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import ConfigError
@@ -93,28 +91,20 @@ class AdaptiveSurrogate:
 
 
 def bind_cost_model(config, schedule, hardware, context) -> StepCostFn:
-    """The surrogate engine's step-cost callable for one replica run.
+    """The step-cost callable of one replica run.
 
     ``context`` is the run's :class:`~repro.serve.scheduler.StepContext`.
     """
+    from ..serve.scheduler import _step_cycles
+
     model = config.cost_model
-
-    if model == "exact":
-        def exact_cycles(num_tokens: int, kv_lengths: Tuple[int, ...],
-                         signatures: Dict[Tuple, float]) -> float:
-            from ..serve import scheduler
-
-            return scheduler._step_cycles(config, schedule, hardware,
-                                          context, num_tokens, kv_lengths,
-                                          signatures)
-
-        return exact_cycles
-
     if isinstance(model, str):
+        if model == "exact":
+            return functools.partial(_step_cycles, config, schedule, hardware,
+                                     context)
         return AdaptiveSurrogate(config, schedule, hardware, context,
                                  kind=model,
                                  budget=config.calibration_budget).cycles
-
     if not isinstance(model, CostModel):
         raise ConfigError(f"cost_model must resolve to a registered name or "
                           f"a CostModel, got {type(model).__name__!r}")

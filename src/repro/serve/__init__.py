@@ -65,12 +65,12 @@ from .policy import (ADMISSION_POLICIES, BATCHING_POLICIES, DEFAULT_POLICY,
 from .report import (PERCENTILE_POINTS, FleetReport, ReplicaReport,
                      RequestRecord, ScalingEvent, ServingReport, StepSample,
                      percentile, priority_breakdown, summarize)
-from .workload import ServeStepWorkload, ServeWorkload
+from .workload import ServeStepWorkload
 from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
                      MemoryStats, eviction_policy_names, get_eviction_policy,
                      kv_bytes_per_row, register_eviction_policy)
-from .scheduler import (ReplicaEngine, ServeConfig, StepMemo, clear_step_cache,
-                        simulate_serving, step_cache_stats)
+from .scheduler import (ReplicaEngine, ServeConfig, ServeWorkload, StepMemo,
+                        clear_step_cache, simulate_serving, step_cache_stats)
 from .fleet import (AutoscalerConfig, FleetConfig, FleetWorkload, RoutingPolicy,
                     get_routing_policy, register_routing_policy,
                     routing_policy_names, simulate_fleet)

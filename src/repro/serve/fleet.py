@@ -46,14 +46,11 @@ from ..api.workload import WorkloadBase, register_workload
 from ..core.errors import ConfigError
 from ..platforms import PlatformLike
 from ..schedules import Schedule
-from ..sim.executors.common import HardwareConfig
-from ..workloads.configs import ModelConfig
 from .arrivals import ArrivalTrace, Request
-from .policy import ServePolicy, resolve_serve_policy
+from .policy import DEFAULT_POLICY
 from .registry import attach_registry, resolve_registered, seal_builtins
 from .report import FleetReport, ReplicaReport, ScalingEvent
 from .scheduler import ReplicaEngine, ServeConfig
-from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +255,15 @@ class _Autoscaler:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FleetConfig:
-    """Fleet-side configuration: replica template plus dispatcher knobs."""
+class FleetConfig(ServeConfig):
+    """Fleet-side configuration: the replica template plus dispatcher knobs.
 
-    #: the per-replica server configuration (every replica is identical)
-    serve: ServeConfig
+    The inherited :class:`ServeConfig` fields configure every replica (all
+    replicas are identical); the four fields below configure the fleet.
+    """
+
     #: replicas at simulation start
-    num_replicas: int = 1
+    num_replicas: int = 2
     #: registered routing-policy name
     routing: str = "round-robin"
     #: cold-start penalty each replica pays before its first step
@@ -273,6 +272,7 @@ class FleetConfig:
     autoscaler: Optional[AutoscalerConfig] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_replicas < 1:
             raise ConfigError(f"num_replicas must be >= 1, got {self.num_replicas}")
         if self.warmup_cycles < 0:
@@ -306,7 +306,7 @@ def simulate_fleet(config: FleetConfig, trace: ArrivalTrace,
     state = _FleetState()
 
     def spawn(cycle: float) -> ReplicaEngine:
-        replica = ReplicaEngine(config.serve, schedule, hardware,
+        replica = ReplicaEngine(config, schedule, hardware,
                                 warmup_cycles=config.warmup_cycles,
                                 start_cycle=cycle,
                                 replica_id=len(state.replicas))
@@ -364,13 +364,14 @@ def simulate_fleet(config: FleetConfig, trace: ArrivalTrace,
 # ---------------------------------------------------------------------------
 
 @register_workload
-@dataclass
-class FleetWorkload(WorkloadBase):
-    """A whole fleet serving run as a scenario workload.
+@dataclass(frozen=True)
+class FleetWorkload(FleetConfig, WorkloadBase):
+    """A whole fleet serving run as a scenario workload: config plus trace.
 
-    The fleet counterpart of :class:`~repro.serve.workload.ServeWorkload`:
-    ``run`` executes :func:`simulate_fleet` under the given unified schedule
-    and reports the flat :meth:`~repro.serve.report.FleetReport.metrics`, so
+    The fleet counterpart of :class:`~repro.serve.scheduler.ServeWorkload`:
+    the knobs are the inherited :class:`FleetConfig` fields, and ``run``
+    executes :func:`simulate_fleet` under the given unified schedule and
+    reports the flat :meth:`~repro.serve.report.FleetReport.metrics`, so
     replica counts and routing policies drop into scenarios, sweep grids, the
     result cache and the benchmark suite like any other axis.  Use
     :meth:`report` (or :func:`repro.api.serve_fleet`) when the full
@@ -379,73 +380,23 @@ class FleetWorkload(WorkloadBase):
 
     kind: ClassVar[str] = "fleet"
 
-    model: ModelConfig
-    trace: ArrivalTrace
-    num_replicas: int = 2
-    routing: str = "round-robin"
-    warmup_cycles: float = 0.0
-    autoscaler: Optional[AutoscalerConfig] = None
-    batch_cap: int = 8
-    num_layers: int = 2
-    kv_tile_rows: int = 64
-    moe_compute_bw: int = 8192
-    attention_compute_bw: int = 256
-    seed: int = 0
-    kv_mode: str = "paged"
-    eviction_policy: str = "evict-lru"
-    #: the per-replica scheduling discipline; None = the default policy
-    policy: Optional[ServePolicy] = None
-    #: per-replica report mode: ``"full"`` or ``"streaming"``
-    report_mode: str = "full"
-    #: streaming timeline window width, in cycles
-    window_cycles: float = DEFAULT_WINDOW_CYCLES
-    #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY
-    #: step-costing tier: ``"exact"`` simulates every step,
-    #: ``"surrogate"`` predicts from a cost model
-    engine: str = "exact"
-    #: surrogate cost model (kind name, payload dict or CostModel);
-    #: None under ``engine="surrogate"`` = adaptive ``"calibrated"``
-    cost_model: Optional[object] = None
-    #: distinct signatures probed exactly before the adaptive fit
-    calibration_budget: int = 64
+    trace: ArrivalTrace = field(kw_only=True)
 
-    def build(self, schedule: Schedule,
-              hardware: Optional[HardwareConfig] = None):
+    def build(self, schedule: Schedule, hardware: PlatformLike = None):
         raise ConfigError("FleetWorkload simulates a multi-replica serving run; "
                           "use run() — there is no single Program to build")
 
-    def fleet_config(self) -> FleetConfig:
-        serve = ServeConfig(model=self.model, batch_cap=self.batch_cap,
-                            num_layers=self.num_layers,
-                            kv_tile_rows=self.kv_tile_rows,
-                            moe_compute_bw=self.moe_compute_bw,
-                            attention_compute_bw=self.attention_compute_bw,
-                            seed=self.seed, kv_mode=self.kv_mode,
-                            eviction_policy=self.eviction_policy,
-                            policy=resolve_serve_policy(self.policy),
-                            report_mode=self.report_mode,
-                            window_cycles=self.window_cycles,
-                            sketch_accuracy=self.sketch_accuracy,
-                            engine=self.engine, cost_model=self.cost_model,
-                            calibration_budget=self.calibration_budget)
-        return FleetConfig(serve=serve, num_replicas=self.num_replicas,
-                           routing=self.routing,
-                           warmup_cycles=self.warmup_cycles,
-                           autoscaler=self.autoscaler)
-
     def report(self, schedule: Schedule,
-               hardware: Optional[HardwareConfig] = None) -> FleetReport:
+               hardware: PlatformLike = None) -> FleetReport:
         """The full :class:`~repro.serve.report.FleetReport` of this run."""
-        return simulate_fleet(self.fleet_config(), self.trace, schedule,
-                              hardware=hardware)
+        return simulate_fleet(self, self.trace, schedule, hardware=hardware)
 
     def run(self, schedule: Schedule,
-            hardware: Optional[HardwareConfig] = None) -> Dict[str, Any]:
+            hardware: PlatformLike = None) -> Dict[str, Any]:
         return self.report(schedule, hardware).metrics()
 
     def label(self) -> str:
         base = f"fleet:{self.trace.name}:r{self.num_replicas}:{self.routing}"
-        if self.policy is None:
+        if self.policy == DEFAULT_POLICY:
             return base
         return f"{base}:{self.policy.label}"

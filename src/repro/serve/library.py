@@ -36,10 +36,10 @@ Importing :mod:`repro.serve` (or :mod:`repro.api`) registers:
   the same bursty traffic: what scale-up cold starts cost and what
   over-provisioning wastes,
 * ``"fleet-surrogate"`` — a production-sized heavy-tailed trace on a fleet
-  under the two-tier engine (``engine="surrogate"``, streaming reports): the
-  cost-model fast path for fleet-scale sweeps (:mod:`repro.costmodel`) —
-  only the first ``calibration_budget`` distinct step signatures are
-  simulated exactly, everything after is predicted.
+  under a per-run calibrated cost model (``cost_model="calibrated"``,
+  streaming reports): the cost-model fast path for fleet-scale sweeps
+  (:mod:`repro.costmodel`) — only the first ``calibration_budget`` distinct
+  step signatures are simulated exactly, everything after is predicted.
 
 All factories take keyword overrides; the defaults are smoke-sized (a few
 dozen requests, two decoder layers) so the scenarios run in seconds — pass
@@ -105,7 +105,7 @@ def serve_poisson(model_scale: int = 32, rates: Sequence[float] = DEFAULT_RATES,
                   kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """Poisson arrival-rate ladder × (static, dynamic) schedules."""
     from .arrivals import poisson_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     workloads = {
@@ -139,7 +139,7 @@ def serve_batch_cap(model_scale: int = 32, arrival_rate: float = 300.0,
                     seed: int = 0) -> Scenario:
     """One arrival rate, swept over continuous-batching caps (dynamic schedule)."""
     from .arrivals import poisson_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     trace = poisson_trace(rate=arrival_rate, num_requests=num_requests, seed=seed,
@@ -172,7 +172,7 @@ def serve_burst(model_scale: int = 32, arrival_rate: float = 150.0,
                 seed: int = 0) -> Scenario:
     """Bursty vs steady arrivals at the same marginal rate (dynamic schedule)."""
     from .arrivals import burst_trace, poisson_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     length_kwargs = dict(prompt_mean=prompt_mean, prompt_max=prompt_max,
@@ -220,7 +220,7 @@ def serve_overload(model_scale: int = 32, rates: Sequence[float] = DEFAULT_RATES
     """
     from ..platforms import get_platform
     from .arrivals import poisson_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     workloads = {
@@ -266,7 +266,7 @@ def serve_paged_vs_contiguous(model_scale: int = 32, arrival_rate: float = 300.0
     """
     from ..platforms import get_platform
     from .arrivals import poisson_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     trace = poisson_trace(rate=arrival_rate, num_requests=num_requests,
@@ -309,7 +309,7 @@ def serve_policies(model_scale: int = 32, arrival_rate: float = 300.0,
     """
     from .arrivals import poisson_trace
     from .policy import policy_grid
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     trace = poisson_trace(rate=arrival_rate, num_requests=num_requests,
@@ -347,7 +347,7 @@ def serve_diurnal(model_scale: int = 32, arrival_rate: float = 150.0,
     request budget at the flat mean, isolating what the swing itself costs.
     """
     from .generators import generate_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     length_kwargs = dict(prompt_mean=prompt_mean, prompt_max=prompt_max,
@@ -394,7 +394,7 @@ def serve_multitenant(model_scale: int = 32, arrival_rate: float = 200.0,
     """
     from .generators import generate_trace
     from .policy import policy_grid
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     trace = generate_trace("multitenant", rate=arrival_rate,
@@ -434,7 +434,7 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
     bigger ``num_requests`` never materializes per-request records.
     """
     from .generators import generate_trace
-    from .workload import ServeWorkload
+    from .scheduler import ServeWorkload
 
     model = _serve_model(model_scale)
     trace = generate_trace("heavy-tail", rate=arrival_rate,
@@ -549,14 +549,14 @@ def fleet_autoscale(model_scale: int = 32, arrival_rate: float = 640.0,
 def fleet_surrogate(model_scale: int = 32, arrival_rate: float = 2000.0,
                     num_requests: int = 2000, num_replicas: int = 2,
                     routing: str = "least-loaded", batch_cap: int = 8,
-                    num_layers: int = 2, engine: str = "surrogate",
-                    cost_model: object = None, calibration_budget: int = 24,
+                    num_layers: int = 2, cost_model: object = "calibrated",
+                    calibration_budget: int = 24,
                     window_cycles: float = DEFAULT_WINDOW_CYCLES,
                     prompt_mean: float = SMOKE_LENGTHS["prompt_mean"],
                     prompt_max: int = 384, output_mean: float = 8.0,
                     output_max: int = 24, kv_tile_rows: int = 64,
                     seed: int = 0) -> Scenario:
-    """A fleet-scale heavy-tailed trace under the surrogate engine.
+    """A fleet-scale heavy-tailed trace under a calibrated cost model.
 
     The fast tier of the two-tier engine end to end: every replica costs its
     steps through the adaptive calibrated cost model (the first
@@ -567,8 +567,8 @@ def fleet_surrogate(model_scale: int = 32, arrival_rate: float = 2000.0,
     deliberately *wide* (long prompt tail, fine KV tiling) — hundreds of
     distinct step signatures, the regime where the exact engine pays one
     full simulation per signature and the surrogate pays only its fixed
-    probe budget.  Pass ``engine="exact"`` (and ``cost_model=None``) for
-    the slow-tier twin of the same trace.
+    probe budget.  Pass ``cost_model="exact"`` for the slow-tier twin of the
+    same trace.
     """
     from .fleet import FleetWorkload
     from .generators import generate_trace
@@ -582,8 +582,7 @@ def fleet_surrogate(model_scale: int = 32, arrival_rate: float = 2000.0,
         model=model, trace=trace, num_replicas=num_replicas, routing=routing,
         batch_cap=batch_cap, num_layers=num_layers, kv_tile_rows=kv_tile_rows,
         seed=seed, report_mode="streaming", window_cycles=window_cycles,
-        engine=engine, cost_model=cost_model,
-        calibration_budget=calibration_budget)
+        cost_model=cost_model, calibration_budget=calibration_budget)
     return Scenario(
         name="fleet-surrogate",
         workloads={"fleet": workload},

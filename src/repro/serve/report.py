@@ -421,20 +421,12 @@ class ServingReport:
         """The full report as plain JSON, symmetric with :meth:`from_dict`.
 
         Full-mode payloads omit the ``streaming`` key entirely, keeping them
-        byte-identical to pre-streaming serializations (plus the
-        ``step_cache`` key, see below).
-
-        ``step_cache`` snapshots the *process-wide* step-memo counters
-        (:func:`~repro.serve.scheduler.step_cache_stats`) **at call time** —
-        it reflects everything the process ran, not just this report's run,
-        which is exactly what makes memoization efficacy observable in
-        sweeps.  Being live state rather than run state, it is ignored by
-        :meth:`from_dict` and excluded from :meth:`metrics` (sweep-cache
-        payloads must be pure functions of the point).
+        byte-identical to pre-streaming serializations.  The payload is a
+        pure function of the run: process-wide step-memo counters are read
+        with :func:`~repro.serve.scheduler.step_cache_stats`, never embedded
+        (:meth:`from_dict` ignores the ``step_cache`` key older payloads
+        carry).
         """
-        # deferred: scheduler imports this module at import time
-        from .scheduler import step_cache_stats
-
         payload = {
             "trace": self.trace,
             "schedule": self.schedule,
@@ -445,7 +437,6 @@ class ServingReport:
             "policy": self.policy,
             "requests": [r.to_dict() for r in self.requests],
             "steps": [s.to_dict() for s in self.steps],
-            "step_cache": step_cache_stats(),
         }
         if self.streaming is not None:
             payload["streaming"] = self.streaming.to_dict()

@@ -1,5 +1,8 @@
 """The continuous-batching serving scheduler (Orca-style iteration scheduling).
 
+:class:`ServeConfig` declares every serving knob, once; the scenario adapter
+:class:`ServeWorkload` is a config plus an arrival trace.
+
 :class:`ReplicaEngine` is the unit of serving capacity: one continuous-batching
 server that can be **stepped incrementally** — submit requests, advance its
 clock, step it, drain it — which is what lets :mod:`repro.serve.fleet` run N
@@ -47,18 +50,19 @@ across runs.  The memo is **bounded** (:class:`StepMemo`): fleet sweeps over
 replicas × rates × policies touch many distinct contexts, so the
 process-wide cache caps its entry count and evicts least-recently-used
 entries deterministically; :func:`step_cache_stats` exposes
-hit/miss/eviction counters of the sub-layer lookups for debugging (and every
-:meth:`~repro.serve.report.ServingReport.to_dict` snapshots them under
-``"step_cache"``, so memoization efficacy is observable in sweeps).
+hit/miss/eviction counters of the sub-layer lookups for debugging; reports
+never embed them, so a report depends only on its run.
 
-**Two-tier costing.**  ``ServeConfig(engine="surrogate", cost_model=...)``
-swaps the per-step simulation for a cost model from :mod:`repro.costmodel`
-(exact delegate, interpolated table, or calibrated least-squares fit —
-including per-run adaptive calibration when ``cost_model`` is ``None``).
-Scheduling is untouched: admission, batching, memory pressure and
-preemption all run identically, only the latency each step charges comes
-from the model, within the documented error bound
-(:data:`repro.costmodel.SURROGATE_TOLERANCE`, pinned in tier-1).
+**Two-tier costing.**  ``ServeConfig.cost_model`` is the one costing axis.
+``"exact"`` (the default) simulates every distinct step through the event
+engine; ``"calibrated"`` / ``"table"`` calibrate a surrogate per run
+(the first ``calibration_budget`` distinct signatures are simulated, the
+rest predicted); a fitted :class:`~repro.costmodel.models.CostModel` (or
+its ``to_dict()`` payload) predicts every step.  Scheduling is untouched:
+admission, batching, memory pressure and preemption all run identically,
+only the latency each step charges comes from the model, within the
+documented error bound (:data:`repro.costmodel.SURROGATE_TOLERANCE`,
+pinned in tier-1).
 
 **Memory pressure.**  When the resolved platform sets a finite
 ``hbm_capacity_bytes``, the engine owns a :class:`~repro.serve.memory.
@@ -91,9 +95,10 @@ scheduler.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Deque, Dict, List, Optional, Tuple
 
+from ..api.workload import WorkloadBase, register_workload
 from ..core.errors import ConfigError
 from ..platforms import PlatformLike, resolve_platform
 from ..schedules import Schedule
@@ -105,18 +110,13 @@ from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
                      MemoryStats, eviction_policy_names, get_eviction_policy,
                      kv_bytes_per_row)
 from .policy import (DEFAULT_POLICY, AdmissionPolicy, BatchingPolicy,
-                     PriorityPolicy, ServePolicy)
+                     PriorityPolicy, ServePolicy, resolve_serve_policy)
 from .registry import resolve_registered
 from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
                         StreamingStats, make_streaming_stats,
                         resolve_report_mode)
 from .workload import ServeStepWorkload, moe_tile_rows
-
-#: how a step's latency is produced: ``"exact"`` simulates every distinct
-#: step through the event engine (the historical path), ``"surrogate"``
-#: costs steps through the resolved ``cost_model`` (:mod:`repro.costmodel`)
-ENGINE_MODES = ("exact", "surrogate")
 
 #: entry cap of the process-wide step-cost memo.  Each entry is one simulated
 #: sub-layer cost (a float keyed by that sub-layer's inputs); the cap bounds a
@@ -194,7 +194,13 @@ def step_cache_stats() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server-side configuration of a serving run (the trace is separate)."""
+    """Server-side configuration of a serving run (the trace is separate).
+
+    This is the one declaration of every serving knob.  The fleet config,
+    the ``ServeWorkload``/``FleetWorkload`` scenario adapters, the
+    ``"serve"``/``"fleet"`` sweep tasks and the ``repro.api`` facades all
+    inherit or forward these fields rather than restating them.
+    """
 
     model: ModelConfig
     #: maximum concurrently running requests per step (continuous batch size)
@@ -211,9 +217,10 @@ class ServeConfig:
     kv_mode: str = "paged"
     #: registered eviction policy deciding whom to preempt under pressure
     eviction_policy: str = "evict-lru"
-    #: the scheduling discipline (admission × batching × priority); None
-    #: normalizes to the default policy, the historical scheduler exactly
-    policy: Optional[ServePolicy] = None
+    #: the scheduling discipline (admission × batching × priority): a
+    #: :class:`ServePolicy`, a preset name or a spec dict, resolved at
+    #: construction; ``None`` is the default policy, the historical scheduler
+    policy: ServePolicy = DEFAULT_POLICY
     #: ``"full"`` keeps every request record and step sample (the historical
     #: behavior, bit-identical); ``"streaming"`` folds them into O(1)-memory
     #: sketches and windows (:mod:`repro.serve.streaming`) as the run goes
@@ -222,22 +229,20 @@ class ServeConfig:
     window_cycles: float = DEFAULT_WINDOW_CYCLES
     #: relative error bound of the streaming percentile sketches
     sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY
-    #: ``"exact"`` simulates every distinct step through the event engine
-    #: (bit-identical to the historical scheduler); ``"surrogate"`` costs
-    #: steps through ``cost_model`` — scheduling, admission, batching and
-    #: memory pressure are unchanged, only the latency source differs
-    engine: str = "exact"
-    #: under ``engine="surrogate"``: a registered cost-model kind ("exact" /
-    #: "table" / "calibrated"), a fitted :class:`~repro.costmodel.models.
-    #: CostModel` artifact, or its ``to_dict()`` payload.  ``None`` means
-    #: ``"calibrated"`` — per-run adaptive calibration against the exact
-    #: engine.  Must stay ``None`` under ``engine="exact"``.
-    cost_model: Optional[object] = None
-    #: distinct step signatures an adaptive surrogate probes through the
+    #: where step latencies come from: ``"exact"`` simulates every distinct
+    #: step through the event engine; ``"calibrated"`` / ``"table"`` fit a
+    #: surrogate per run after ``calibration_budget`` exact probes; a fitted
+    #: :class:`~repro.costmodel.models.CostModel` or its ``to_dict()``
+    #: payload predicts every step (see :mod:`repro.costmodel`)
+    cost_model: Any = "exact"
+    #: distinct step signatures a per-run surrogate probes through the
     #: exact engine (per replica run) before fitting itself
     calibration_budget: int = 64
 
     def __post_init__(self) -> None:
+        # deferred import: repro.costmodel builds on the serve package
+        from ..costmodel.models import resolve_cost_model
+
         if self.batch_cap < 1:
             raise ConfigError(f"batch_cap must be >= 1, got {self.batch_cap}")
         if self.num_layers < 1:
@@ -255,28 +260,13 @@ class ServeConfig:
         if self.eviction_policy not in EVICTION_POLICIES:
             raise ConfigError(f"unknown eviction policy {self.eviction_policy!r}; "
                               f"registered: {eviction_policy_names()}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", DEFAULT_POLICY)
-        elif not isinstance(self.policy, ServePolicy):
-            raise ConfigError(f"policy must be a ServePolicy (resolve names "
-                              f"via resolve_serve_policy), got "
-                              f"{type(self.policy).__name__!r}")
-        if self.engine not in ENGINE_MODES:
-            raise ConfigError(f"unknown engine {self.engine!r}; "
-                              f"expected one of {list(ENGINE_MODES)}")
         if self.calibration_budget < 1:
             raise ConfigError(f"calibration_budget must be >= 1 (an empty "
                               f"probe budget cannot calibrate a surrogate), "
                               f"got {self.calibration_budget}")
-        if self.engine == "exact":
-            if self.cost_model is not None:
-                raise ConfigError("cost_model requires engine='surrogate'; "
-                                  "the exact engine always simulates steps")
-        else:
-            # deferred import: repro.costmodel builds on the serve package
-            from ..costmodel.models import resolve_cost_model
-            object.__setattr__(self, "cost_model",
-                               resolve_cost_model(self.cost_model))
+        object.__setattr__(self, "policy", resolve_serve_policy(self.policy))
+        object.__setattr__(self, "cost_model",
+                           resolve_cost_model(self.cost_model))
 
 
 @dataclass
@@ -422,13 +412,10 @@ class ReplicaEngine:
         self.spawned_at = float(start_cycle)
         self.now = float(start_cycle)
         self._context = _context_key(config, self.schedule, self.hardware)
-        # surrogate engine: steps are costed by the bound cost model instead
-        # of _step_cycles; None keeps the exact path byte-for-byte untouched
-        self._cost_fn = None
-        if config.engine == "surrogate":
-            from ..costmodel.runtime import bind_cost_model
-            self._cost_fn = bind_cost_model(config, self.schedule,
-                                            self.hardware, self._context)
+        # deferred import: repro.costmodel builds on the serve package
+        from ..costmodel.runtime import bind_cost_model
+        self._cost_fn = bind_cost_model(config, self.schedule, self.hardware,
+                                        self._context)
         policy = config.policy
         self._admission: AdmissionPolicy = \
             resolve_registered("admission", policy.admission)(policy)
@@ -675,12 +662,7 @@ class ReplicaEngine:
         kv_lengths = tuple(sorted(
             quantize_up(a.context_done + c if a.needs_prefill else a.kv_length,
                         self.config.kv_tile_rows) for a, c in plan))
-        if self._cost_fn is None:
-            cycles = _step_cycles(self.config, self.schedule, self.hardware,
-                                  self._context, num_tokens, kv_lengths,
-                                  self._signatures)
-        else:
-            cycles = self._cost_fn(num_tokens, kv_lengths, self._signatures)
+        cycles = self._cost_fn(num_tokens, kv_lengths, self._signatures)
         if self._pool is not None:
             self._occ_samples += 1
             self._occ_sum += self._pool.occupancy
@@ -823,3 +805,43 @@ def simulate_serving(config: ServeConfig, trace: ArrivalTrace,
         engine.submit(request)
     engine.drain()
     return engine.report(trace.name)
+
+
+@register_workload
+@dataclass(frozen=True)
+class ServeWorkload(ServeConfig, WorkloadBase):
+    """A whole open-loop serving run: the server config plus its trace.
+
+    The server knobs are the inherited :class:`ServeConfig` fields, so the
+    workload *is* its run's config.  ``run`` executes the continuous-batching
+    scheduler against ``trace`` under the given unified schedule and returns
+    the flat serving metrics (TTFT / TPOT / e2e percentiles, goodput, queue
+    depths — see :meth:`~repro.serve.report.ServingReport.metrics`).  Because
+    it is a registered workload, serving runs drop into scenarios, sweep
+    grids, the result cache and the benchmark suite like any layer workload.
+    Use :meth:`report` (or :func:`repro.api.serve`) when the full
+    :class:`~repro.serve.report.ServingReport` is needed.
+    """
+
+    kind: ClassVar[str] = "serve"
+
+    trace: ArrivalTrace = field(kw_only=True)
+
+    def build(self, schedule: Schedule, hardware: PlatformLike = None):
+        raise ConfigError("ServeWorkload simulates a request-level serving run; "
+                          "use run() — there is no single Program to build")
+
+    def report(self, schedule: Schedule,
+               hardware: PlatformLike = None) -> ServingReport:
+        """The full :class:`~repro.serve.report.ServingReport` of this run."""
+        return simulate_serving(self, self.trace, schedule, hardware=hardware)
+
+    def run(self, schedule: Schedule,
+            hardware: PlatformLike = None) -> Dict[str, float]:
+        return self.report(schedule, hardware).metrics()
+
+    def label(self) -> str:
+        base = f"serve:{self.trace.name}:cap{self.batch_cap}"
+        if self.policy == DEFAULT_POLICY:
+            return base
+        return f"{base}:{self.policy.label}"

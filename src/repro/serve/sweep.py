@@ -1,13 +1,16 @@
-"""Serving sweeps: the ``"serve"`` task and arrival-rate × batch-cap grids.
+"""Serving sweeps: the ``"serve"``/``"fleet"`` tasks and load grids.
 
-The scenario path (:class:`~repro.serve.workload.ServeWorkload` under the
+The scenario path (:class:`~repro.serve.scheduler.ServeWorkload` under the
 generic ``"workload"`` task) covers grids whose points are pre-built workload
 objects.  Load studies instead sweep *generator parameters* — the arrival rate
-and the batch cap — so this module registers a dedicated ``"serve"`` sweep
-task taking plain parameters and building the trace inside the worker, which
+and the batch cap — so this module registers dedicated ``"serve"`` and
+``"fleet"`` sweep tasks taking plain parameters and building the trace inside
+the worker (a 100k-request trace never crosses the pool boundary), which
 makes ``SweepSpec`` axes as simple as ``{"arrival_rate": [...],
 "batch_cap": [...]}`` (cartesian load grids, cached and pool-parallel like
-every other sweep).
+every other sweep).  Server knobs are not restated here: the tasks hand them
+straight to :class:`~repro.serve.scheduler.ServeConfig` /
+:class:`~repro.serve.fleet.FleetConfig`.
 
 Hardware arrives as a named :class:`~repro.platforms.Platform` (the
 ``platform`` parameter), resolved through the same single path as every other
@@ -45,6 +48,7 @@ is what makes a latency-vs-load curve comparable across its points.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..core.errors import ConfigError
@@ -58,86 +62,68 @@ from .arrivals import (DEFAULT_OUTPUT_MAX, DEFAULT_OUTPUT_MEAN,
                        DEFAULT_PROMPT_SIGMA)
 from .fleet import AutoscalerConfig, FleetConfig, simulate_fleet
 from .generators import generate_trace
-from .policy import ServePolicy, policy_grid, resolve_serve_policy
+from .policy import policy_grid
 from .scheduler import ServeConfig, simulate_serving
-from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
-#: the per-point knobs the load-grid builders may forward beyond the grid axes
-#: (everything the ``"serve"`` task accepts besides its required parameters)
-_FORWARDABLE_KNOBS = frozenset({
-    "kv_tile_rows", "prompt_mean", "prompt_sigma", "prompt_max",
-    "prompt_quantum", "output_mean", "output_sigma", "output_max",
-    "kv_mode", "eviction_policy", "ttft_slo", "policy",
-    "generator", "report_mode", "window_cycles", "sketch_accuracy",
-    "engine", "cost_model", "calibration_budget",
-})
+#: the trace-shape knobs of the ``"serve"``/``"fleet"`` tasks, with the
+#: values every point hands its registered generator unless it sets its own
+_TRACE_DEFAULTS = {
+    "prompt_mean": DEFAULT_PROMPT_MEAN, "prompt_sigma": DEFAULT_PROMPT_SIGMA,
+    "prompt_max": DEFAULT_PROMPT_MAX, "prompt_quantum": DEFAULT_PROMPT_QUANTUM,
+    "output_mean": DEFAULT_OUTPUT_MEAN, "output_sigma": DEFAULT_OUTPUT_SIGMA,
+    "output_max": DEFAULT_OUTPUT_MAX,
+}
+
+#: the per-point knobs the load-grid builders may forward beyond the grid
+#: axes: every server knob, the trace shape, the generator and the TTFT SLO
+_FORWARDABLE_KNOBS = frozenset(
+    {f.name for f in fields(ServeConfig)} - {"model"}
+    | set(_TRACE_DEFAULTS) | {"generator", "ttft_slo"})
+
+
+def _point_inputs(config_cls, model: ModelConfig, arrival_rate: float,
+                  num_requests: int, knobs: Dict[str, object]):
+    """One point's server config and trace, built inside the worker.
+
+    ``knobs`` splits into the trace shape (``generator`` plus the length
+    knobs of :data:`_TRACE_DEFAULTS`) and the server knobs, which go
+    straight into ``config_cls``.  The trace is seeded with the config's
+    ``seed``, so every point of a grid serves the same-seed traffic.
+    """
+    generator = knobs.pop("generator", "poisson")
+    shape = {key: knobs.pop(key, default)
+             for key, default in _TRACE_DEFAULTS.items()}
+    config = config_cls(model=model, **knobs)
+    trace = generate_trace(generator, rate=arrival_rate,
+                           num_requests=num_requests, seed=config.seed, **shape)
+    return config, trace
 
 
 @register_task("serve")
-def serve_point(model: ModelConfig, schedule: Schedule,
-                arrival_rate: float, batch_cap: int, num_requests: int,
-                platform: Optional[Platform] = None, hardware=None,
-                seed: int = 0, num_layers: int = 2, kv_tile_rows: int = 64,
-                prompt_mean: float = DEFAULT_PROMPT_MEAN,
-                prompt_sigma: float = DEFAULT_PROMPT_SIGMA,
-                prompt_max: int = DEFAULT_PROMPT_MAX,
-                prompt_quantum: int = DEFAULT_PROMPT_QUANTUM,
-                output_mean: float = DEFAULT_OUTPUT_MEAN,
-                output_sigma: float = DEFAULT_OUTPUT_SIGMA,
-                output_max: int = DEFAULT_OUTPUT_MAX,
-                kv_mode: str = "paged",
-                eviction_policy: str = "evict-lru",
-                ttft_slo: Optional[float] = None,
-                policy: Optional[ServePolicy] = None,
-                generator: str = "poisson",
-                report_mode: str = "full",
-                window_cycles: float = DEFAULT_WINDOW_CYCLES,
-                sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                engine: str = "exact",
-                cost_model=None,
-                calibration_budget: int = 64,
-                ) -> Dict[str, float]:
+def serve_point(model: ModelConfig, schedule: Schedule, arrival_rate: float,
+                num_requests: int, platform: Optional[Platform] = None,
+                ttft_slo: Optional[float] = None, **knobs) -> Dict[str, float]:
     """One serving design point: generate the trace, serve it, report metrics.
 
     The trace is rebuilt from its parameters inside the worker (nothing large
-    crosses the pool boundary) — the signature accepts every
-    :func:`~repro.serve.arrivals.poisson_trace` length knob so the grid
-    builders can forward them all — and the returned payload carries the
-    swept coordinates alongside the serving metrics so result rows are
-    self-describing.  ``hardware`` remains accepted for pre-platform specs.
-    ``kv_mode`` / ``eviction_policy`` matter only on platforms with a finite
-    ``hbm_capacity_bytes`` (see :mod:`repro.serve.memory`); a ``ttft_slo``
-    (cycles) adds the strict-goodput view — ``slo_attainment`` and
-    ``slo_goodput_rpmc`` — to the payload.  ``policy`` selects the scheduling
-    discipline (a :class:`~repro.serve.policy.ServePolicy`, preset name or
-    spec dict); it is a regular task parameter, so policy identity
-    participates in the sweep cache key like every other knob.  ``generator``
-    names the registered trace shape (:mod:`repro.serve.generators`) and
-    ``report_mode`` / ``window_cycles`` / ``sketch_accuracy`` select the
-    report representation (``"streaming"`` = O(1)-memory sketches, the mode
-    for very large ``num_requests``).  ``engine`` / ``cost_model`` /
-    ``calibration_budget`` select the costing tier (:mod:`repro.costmodel`;
-    pass fitted models as instances or ``to_dict()`` payloads so the model's
-    *content* — like every parameter here — is part of the cache key).
+    crosses the pool boundary), and the returned payload carries the swept
+    coordinates alongside the serving metrics so result rows are
+    self-describing.  ``knobs`` are the trace shape (``generator`` names a
+    registered shape, :mod:`repro.serve.generators`, plus the
+    :func:`~repro.serve.arrivals.poisson_trace` length knobs) and any
+    :class:`~repro.serve.scheduler.ServeConfig` field.  Every knob is a plain
+    task parameter, so it participates in the sweep cache key; pass fitted
+    cost models as instances or ``to_dict()`` payloads so the model's
+    *content* keys the cache.  A ``ttft_slo`` (cycles) adds the
+    strict-goodput view — ``slo_attainment`` and ``slo_goodput_rpmc`` — to
+    the payload.
     """
-    trace = generate_trace(generator, rate=arrival_rate,
-                           num_requests=num_requests, seed=seed,
-                           prompt_mean=prompt_mean, prompt_sigma=prompt_sigma,
-                           prompt_max=prompt_max, prompt_quantum=prompt_quantum,
-                           output_mean=output_mean, output_sigma=output_sigma,
-                           output_max=output_max)
-    policy = resolve_serve_policy(policy)
-    config = ServeConfig(model=model, batch_cap=batch_cap, num_layers=num_layers,
-                         kv_tile_rows=kv_tile_rows, seed=seed, kv_mode=kv_mode,
-                         eviction_policy=eviction_policy, policy=policy,
-                         report_mode=report_mode, window_cycles=window_cycles,
-                         sketch_accuracy=sketch_accuracy, engine=engine,
-                         cost_model=cost_model,
-                         calibration_budget=calibration_budget)
-    report = simulate_serving(config, trace, schedule,
-                              hardware=hardware if hardware is not None else platform)
-    payload = {"arrival_rate": float(arrival_rate), "batch_cap": float(batch_cap),
-               "policy": policy.label, **report.metrics()}
+    config, trace = _point_inputs(ServeConfig, model, arrival_rate,
+                                  num_requests, knobs)
+    report = simulate_serving(config, trace, schedule, hardware=platform)
+    payload = {"arrival_rate": float(arrival_rate),
+               "batch_cap": float(config.batch_cap),
+               "policy": config.policy.label, **report.metrics()}
     if ttft_slo is not None:
         payload["slo_attainment"] = float(report.slo_attainment(ttft_slo))
         payload["slo_goodput_rpmc"] = float(report.slo_goodput(ttft_slo))
@@ -146,15 +132,15 @@ def serve_point(model: ModelConfig, schedule: Schedule,
 
 def _load_grid_base(model: ModelConfig, platform: PlatformLike, num_requests: int,
                     seed: int, num_layers: int,
-                    trace_kwargs: Mapping[str, object]) -> Dict[str, object]:
-    unknown = set(trace_kwargs) - _FORWARDABLE_KNOBS
+                    knobs: Mapping[str, object]) -> Dict[str, object]:
+    unknown = set(knobs) - _FORWARDABLE_KNOBS
     if unknown:
-        raise ConfigError(f"serving load grid: unsupported trace parameters "
+        raise ConfigError(f"serving load grid: unsupported knobs "
                           f"{sorted(unknown)}; forwardable: "
                           f"{sorted(_FORWARDABLE_KNOBS)}")
     return {"model": model, "platform": resolve_platform(platform),
             "num_requests": num_requests, "seed": seed,
-            "num_layers": num_layers, **trace_kwargs}
+            "num_layers": num_layers, **knobs}
 
 
 def latency_load_spec(model: ModelConfig, schedule: Schedule,
@@ -162,10 +148,10 @@ def latency_load_spec(model: ModelConfig, schedule: Schedule,
                       num_requests: int = 32, seed: int = 0,
                       hardware: PlatformLike = None,
                       num_layers: int = 2, name: Optional[str] = None,
-                      **trace_kwargs) -> SweepSpec:
+                      **knobs) -> SweepSpec:
     """An arrival-rate × batch-cap load grid as a cartesian :class:`SweepSpec`."""
     base = _load_grid_base(model, hardware, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     base["schedule"] = schedule
     return SweepSpec(
         name=name or f"serve-load-{schedule.name}",
@@ -179,63 +165,25 @@ def latency_load_spec(model: ModelConfig, schedule: Schedule,
 
 
 @register_task("fleet")
-def fleet_point(model: ModelConfig, schedule: Schedule,
-                arrival_rate: float, num_replicas: int, routing: str,
-                batch_cap: int, num_requests: int,
-                platform: Optional[Platform] = None, hardware=None,
-                seed: int = 0, num_layers: int = 2, kv_tile_rows: int = 64,
-                warmup_cycles: float = 0.0,
-                autoscaler: Optional[AutoscalerConfig] = None,
-                prompt_mean: float = DEFAULT_PROMPT_MEAN,
-                prompt_sigma: float = DEFAULT_PROMPT_SIGMA,
-                prompt_max: int = DEFAULT_PROMPT_MAX,
-                prompt_quantum: int = DEFAULT_PROMPT_QUANTUM,
-                output_mean: float = DEFAULT_OUTPUT_MEAN,
-                output_sigma: float = DEFAULT_OUTPUT_SIGMA,
-                output_max: int = DEFAULT_OUTPUT_MAX,
-                kv_mode: str = "paged",
-                eviction_policy: str = "evict-lru",
-                policy: Optional[ServePolicy] = None,
-                generator: str = "poisson",
-                report_mode: str = "full",
-                window_cycles: float = DEFAULT_WINDOW_CYCLES,
-                sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                engine: str = "exact",
-                cost_model=None,
-                calibration_budget: int = 64,
-                ) -> Dict[str, float]:
+def fleet_point(model: ModelConfig, schedule: Schedule, arrival_rate: float,
+                num_requests: int, platform: Optional[Platform] = None,
+                **knobs) -> Dict[str, float]:
     """One fleet design point: generate the trace, serve it on N replicas.
 
-    Mirrors :func:`serve_point` with the fleet axes on top — the trace is
-    rebuilt inside the worker and the returned payload carries the swept
-    coordinates (rate, replica count, routing policy) alongside the
-    fleet metrics so result rows are self-describing.  ``policy`` is the
-    per-replica scheduling discipline, shared by every replica;
-    ``report_mode`` likewise rides the shared :class:`ServeConfig`, so a
-    streaming fleet keeps per-replica sketches and merges them at
-    aggregation time.
+    Mirrors :func:`serve_point`, with ``knobs`` taking any
+    :class:`~repro.serve.fleet.FleetConfig` field: the fleet axes (replica
+    count, routing, warm-up, autoscaler) on top of the per-replica server
+    knobs every replica shares.  The returned payload carries the swept
+    coordinates (rate, replica count, routing policy) alongside the fleet
+    metrics so result rows are self-describing.
     """
-    trace = generate_trace(generator, rate=arrival_rate,
-                           num_requests=num_requests, seed=seed,
-                           prompt_mean=prompt_mean, prompt_sigma=prompt_sigma,
-                           prompt_max=prompt_max, prompt_quantum=prompt_quantum,
-                           output_mean=output_mean, output_sigma=output_sigma,
-                           output_max=output_max)
-    policy = resolve_serve_policy(policy)
-    serve = ServeConfig(model=model, batch_cap=batch_cap, num_layers=num_layers,
-                        kv_tile_rows=kv_tile_rows, seed=seed, kv_mode=kv_mode,
-                        eviction_policy=eviction_policy, policy=policy,
-                        report_mode=report_mode, window_cycles=window_cycles,
-                        sketch_accuracy=sketch_accuracy, engine=engine,
-                        cost_model=cost_model,
-                        calibration_budget=calibration_budget)
-    config = FleetConfig(serve=serve, num_replicas=num_replicas, routing=routing,
-                         warmup_cycles=warmup_cycles, autoscaler=autoscaler)
-    report = simulate_fleet(config, trace, schedule,
-                            hardware=hardware if hardware is not None else platform)
+    config, trace = _point_inputs(FleetConfig, model, arrival_rate,
+                                  num_requests, knobs)
+    report = simulate_fleet(config, trace, schedule, hardware=platform)
     return {"arrival_rate": float(arrival_rate),
-            "num_replicas": float(num_replicas), "routing": routing,
-            "policy": policy.label, **report.metrics()}
+            "num_replicas": float(config.num_replicas),
+            "routing": config.routing, "policy": config.policy.label,
+            **report.metrics()}
 
 
 def fleet_latency_spec(model: ModelConfig, schedule: Schedule,
@@ -248,7 +196,7 @@ def fleet_latency_spec(model: ModelConfig, schedule: Schedule,
                        warmup_cycles: float = 0.0,
                        autoscaler: Optional[AutoscalerConfig] = None,
                        name: str = "fleet-latency",
-                       **trace_kwargs) -> SweepSpec:
+                       **knobs) -> SweepSpec:
     """The fleet study as **one** cartesian spec over the ``"fleet"`` task.
 
     Axes are (replicas, routing, arrival rate), replica-major, so the grid
@@ -260,7 +208,7 @@ def fleet_latency_spec(model: ModelConfig, schedule: Schedule,
     if not rates:
         raise ConfigError("fleet_latency_spec: at least one arrival rate is required")
     base = _load_grid_base(model, platform, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     base.update({"schedule": schedule, "batch_cap": batch_cap,
                  "warmup_cycles": warmup_cycles, "autoscaler": autoscaler})
     return SweepSpec(
@@ -281,7 +229,7 @@ def memory_pressure_spec(model: ModelConfig, schedule: Schedule,
                          batch_cap: int = 4, num_requests: int = 32,
                          seed: int = 0, num_layers: int = 2,
                          name: str = "memory-pressure",
-                         **trace_kwargs) -> SweepSpec:
+                         **knobs) -> SweepSpec:
     """Offered load × HBM capacity as **one** cartesian spec.
 
     Axes are (platform, arrival rate), platform-major, so the grid row for
@@ -292,7 +240,7 @@ def memory_pressure_spec(model: ModelConfig, schedule: Schedule,
     plateaus past saturation while a capacity-bounded one *declines* —
     admission stalls, preemptions and recompute eat the makespan (the goodput
     cliff the ``memory-pressure`` experiment pins).  ``kv_mode`` /
-    ``eviction_policy`` forward through ``trace_kwargs``-style knobs.
+    ``eviction_policy`` forward through ``knobs``.
     """
     if not rates:
         raise ConfigError("memory_pressure_spec: at least one arrival rate "
@@ -301,7 +249,7 @@ def memory_pressure_spec(model: ModelConfig, schedule: Schedule,
         raise ConfigError("memory_pressure_spec: at least one platform "
                           "is required")
     base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     del base["platform"]  # the platform is a swept axis here, not a base knob
     base.update({"schedule": schedule, "batch_cap": batch_cap})
     return SweepSpec(
@@ -323,7 +271,7 @@ def policy_shootout_spec(model: ModelConfig, schedule: Schedule,
                          batch_cap: int = 4, num_requests: int = 32,
                          seed: int = 0, num_layers: int = 2,
                          name: str = "policy-shootout",
-                         **trace_kwargs) -> SweepSpec:
+                         **knobs) -> SweepSpec:
     """Scheduling policies × platforms × offered load as **one** cartesian spec.
 
     Axes are (policy, platform, arrival rate), policy-major, so the grid row
@@ -345,7 +293,7 @@ def policy_shootout_spec(model: ModelConfig, schedule: Schedule,
                           "is required")
     grid = policy_grid(*policies)
     base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     del base["platform"]  # the platform is a swept axis here, not a base knob
     base.update({"schedule": schedule, "batch_cap": batch_cap,
                  "ttft_slo": float(ttft_slo)})
@@ -370,7 +318,7 @@ def capacity_spec(model: ModelConfig, schedule: Schedule,
                   seed: int = 0, num_layers: int = 2,
                   report_mode: str = "full",
                   name: str = "capacity",
-                  **trace_kwargs) -> SweepSpec:
+                  **knobs) -> SweepSpec:
     """Platforms × offered load under a production-shaped generator.
 
     Axes are (platform, arrival rate), platform-major, so the grid row for
@@ -386,7 +334,7 @@ def capacity_spec(model: ModelConfig, schedule: Schedule,
     if not platforms:
         raise ConfigError("capacity_spec: at least one platform is required")
     base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     del base["platform"]  # the platform is a swept axis here, not a base knob
     base.update({"schedule": schedule, "batch_cap": batch_cap,
                  "ttft_slo": float(ttft_slo), "generator": generator,
@@ -407,7 +355,7 @@ def serve_latency_spec(model: ModelConfig, schedules: Mapping[str, Schedule],
                        num_requests: int = 32, seed: int = 0,
                        platform: PlatformLike = None, num_layers: int = 2,
                        name: str = "serve-latency",
-                       **trace_kwargs) -> SweepSpec:
+                       **knobs) -> SweepSpec:
     """The whole latency-vs-load study as **one** cartesian spec.
 
     Axes are (schedule, arrival rate, batch cap), schedule-major, so the grid
@@ -420,7 +368,7 @@ def serve_latency_spec(model: ModelConfig, schedules: Mapping[str, Schedule],
     if not schedules:
         raise ConfigError("serve_latency_spec: at least one schedule is required")
     base = _load_grid_base(model, platform, num_requests, seed, num_layers,
-                           trace_kwargs)
+                           knobs)
     return SweepSpec(
         name=name,
         task="serve",

@@ -1,28 +1,22 @@
-"""Serving workload adapters — serving steps and whole serving runs as Workloads.
+"""One serving engine step as a Workload.
 
-Two adapters connect the serving simulator to the unified scenario API:
+:class:`ServeStepWorkload` is **one engine step** of a continuous-batching
+server: QKV generation and the MoE block over the step's token batch plus
+decode attention over the per-request KV-cache lengths, composed exactly
+like :func:`repro.workloads.model.evaluate_layer` composes a decoder layer
+(sub-layers are data dependent, so step latency is their sum, scaled by the
+layer count).  The scheduler maps every step it issues onto one of these, so
+serving rides the same builders, unified schedules and simulator as the
+closed-loop experiments.  The scheduler calls the three sub-layer
+simulations (``simulate_qkv`` / ``simulate_attention`` / ``simulate_moe``)
+one at a time, memoizes each, and sums them with the same
+:meth:`ServeStepWorkload.compose` as ``run``.
 
-* :class:`ServeStepWorkload` — **one engine step** of a continuous-batching
-  server: QKV generation and the MoE block over the step's token batch plus
-  decode attention over the per-request KV-cache lengths, composed exactly
-  like :func:`repro.workloads.model.evaluate_layer` composes a decoder layer
-  (sub-layers are data dependent, so step latency is their sum, scaled by the
-  layer count).  The scheduler maps every step it issues onto one of these,
-  so serving rides the same builders, unified schedules and simulator as the
-  closed-loop experiments.  The scheduler calls the three sub-layer
-  simulations (``simulate_qkv`` / ``simulate_attention`` / ``simulate_moe``)
-  one at a time, memoizes each, and sums them with the same
-  :meth:`ServeStepWorkload.compose` as ``run``.
-* :class:`ServeWorkload` — a **whole serving run**: an arrival trace plus a
-  batch cap; ``run`` executes the open-loop simulation
-  (:func:`repro.serve.scheduler.simulate_serving`) under the given schedule
-  and reports the flat :meth:`~repro.serve.report.ServingReport.metrics`.
-  Because it is a registered workload, serving runs drop into scenarios,
-  sweep grids, the result cache and the benchmark suite like any layer
-  workload.
-
-Both adapters are plain frozen-field dataclasses: picklable across the sweep
-pool and canonicalizable for content-hash caching.
+The whole-run adapter, :class:`~repro.serve.scheduler.ServeWorkload`, is a
+:class:`~repro.serve.scheduler.ServeConfig` plus a trace and lives next to
+the scheduler, as :class:`~repro.serve.fleet.FleetWorkload` lives next to
+the dispatcher.  Both are plain dataclasses: picklable across the sweep pool
+and canonicalizable for content-hash caching.
 """
 
 from __future__ import annotations
@@ -41,9 +35,6 @@ from ..workloads.attention import AttentionConfig, build_attention_layer
 from ..workloads.configs import ModelConfig
 from ..workloads.moe import MoELayerConfig, build_moe_layer
 from ..workloads.qkv import QKVConfig, build_qkv_layer
-from .arrivals import ArrivalTrace
-from .policy import ServePolicy, resolve_serve_policy
-from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
 
 def moe_tile_rows(schedule: Schedule, num_tokens: int) -> Optional[int]:
@@ -156,86 +147,3 @@ class ServeStepWorkload(WorkloadBase):
 
     def label(self) -> str:
         return f"serve_step:{self.model.name}:t{self.num_tokens}:r{len(self.kv_lengths)}"
-
-
-@register_workload
-@dataclass
-class ServeWorkload(WorkloadBase):
-    """A whole open-loop serving run over an arrival trace.
-
-    ``run`` executes the continuous-batching scheduler against ``trace`` under
-    the given unified schedule and returns the flat serving metrics (TTFT /
-    TPOT / e2e percentiles, goodput, queue depths — see
-    :meth:`repro.serve.report.ServingReport.metrics`).  Use
-    :func:`repro.api.serve` (or :func:`repro.serve.scheduler.simulate_serving`
-    directly) when the full :class:`~repro.serve.report.ServingReport` —
-    per-request records and the queue timeline — is needed.
-    """
-
-    kind: ClassVar[str] = "serve"
-
-    model: ModelConfig
-    trace: ArrivalTrace
-    batch_cap: int = 8
-    num_layers: int = 2
-    kv_tile_rows: int = 64
-    moe_compute_bw: int = 8192
-    attention_compute_bw: int = 256
-    seed: int = 0
-    #: KV allocation discipline on capacity-bounded platforms
-    kv_mode: str = "paged"
-    #: preemption victim choice under memory pressure
-    eviction_policy: str = "evict-lru"
-    #: the scheduling discipline (admission × batching × priority);
-    #: None = the default policy, the historical scheduler exactly
-    policy: Optional[ServePolicy] = None
-    #: ``"full"`` keeps every record/step; ``"streaming"`` reports through
-    #: O(1)-memory sketches (:mod:`repro.serve.streaming`)
-    report_mode: str = "full"
-    #: streaming timeline window width, in cycles
-    window_cycles: float = DEFAULT_WINDOW_CYCLES
-    #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY
-    #: step-costing tier: ``"exact"`` simulates every step,
-    #: ``"surrogate"`` predicts from a cost model
-    engine: str = "exact"
-    #: surrogate cost model (kind name, payload dict or CostModel);
-    #: None under ``engine="surrogate"`` = adaptive ``"calibrated"``
-    cost_model: Optional[object] = None
-    #: distinct signatures probed exactly before the adaptive fit
-    calibration_budget: int = 64
-
-    def build(self, schedule: Schedule,
-              hardware: Optional[HardwareConfig] = None) -> BuiltWorkload:
-        raise ConfigError("ServeWorkload simulates a request-level serving run; "
-                          "use run() — there is no single Program to build")
-
-    def report(self, schedule: Schedule,
-               hardware: Optional[HardwareConfig] = None):
-        """The full :class:`~repro.serve.report.ServingReport` of this run."""
-        from .scheduler import ServeConfig, simulate_serving
-
-        config = ServeConfig(model=self.model, batch_cap=self.batch_cap,
-                             num_layers=self.num_layers,
-                             kv_tile_rows=self.kv_tile_rows,
-                             moe_compute_bw=self.moe_compute_bw,
-                             attention_compute_bw=self.attention_compute_bw,
-                             seed=self.seed, kv_mode=self.kv_mode,
-                             eviction_policy=self.eviction_policy,
-                             policy=resolve_serve_policy(self.policy),
-                             report_mode=self.report_mode,
-                             window_cycles=self.window_cycles,
-                             sketch_accuracy=self.sketch_accuracy,
-                             engine=self.engine, cost_model=self.cost_model,
-                             calibration_budget=self.calibration_budget)
-        return simulate_serving(config, self.trace, schedule, hardware=hardware)
-
-    def run(self, schedule: Schedule,
-            hardware: Optional[HardwareConfig] = None) -> Dict[str, float]:
-        return self.report(schedule, hardware).metrics()
-
-    def label(self) -> str:
-        base = f"serve:{self.trace.name}:cap{self.batch_cap}"
-        if self.policy is None:
-            return base
-        return f"{base}:{self.policy.label}"

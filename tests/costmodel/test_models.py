@@ -204,8 +204,14 @@ class TestFitFromProbes:
 
 
 class TestResolveCostModel:
-    def test_none_means_adaptive_calibrated(self):
-        assert resolve_cost_model(None) == "calibrated"
+    def test_none_is_not_a_spelling(self):
+        # one spelling per costing mode: the default is the name "exact"
+        with pytest.raises(ConfigError, match="registered name"):
+            resolve_cost_model(None)
+
+    def test_exact_artifact_resolves_to_the_engine(self):
+        assert resolve_cost_model({"kind": "exact"}) == "exact"
+        assert resolve_cost_model(ExactCostModel()) == "exact"
 
     def test_registered_names_pass(self):
         for name in cost_model_names():

@@ -1,10 +1,11 @@
-"""The tier-1 surrogate error-bound pin, plus engine-config semantics.
+"""The tier-1 surrogate error-bound pin, plus cost-model config semantics.
 
 The headline contract of the two-tier engine
-(:mod:`repro.costmodel.runtime` + ``ServeConfig(engine=...)``):
+(:mod:`repro.costmodel.runtime` + ``ServeConfig(cost_model=...)``):
 
-* ``engine="surrogate", cost_model="exact"`` is **bit-identical** to the
-  exact engine — the equivalence anchor,
+* the default config is **bit-identical** to an explicit
+  ``cost_model="exact"`` (and to its ``{"kind": "exact"}`` payload) — the
+  equivalence anchor,
 * the adaptive calibrated surrogate reproduces exact TTFT/TPOT/e2e
   percentiles within :data:`repro.costmodel.SURROGATE_TOLERANCE` across
   platforms and scheduling policies (the documented error bound),
@@ -13,9 +14,9 @@ The headline contract of the two-tier engine
   match the exact engine exactly,
 * single-signature workloads stay exact (the probe budget covers them, the
   table fallback replays probes verbatim),
-* misconfiguration fails loudly: unknown engines, empty calibration
-  budgets, ``cost_model`` under the exact engine, fitted models applied to
-  a mismatched context.
+* misconfiguration fails loudly: the retired ``engine`` knob, empty
+  calibration budgets, unknown cost-model names, fitted models applied to a
+  mismatched context.
 """
 
 import warnings
@@ -44,10 +45,10 @@ def heavy_trace(num_requests=32, seed=0):
                           output_mean=4.0, output_max=8)
 
 
-def run(trace, engine="exact", platform=None, policy=None, **knobs):
+def run(trace, platform=None, policy=None, **knobs):
     knobs.setdefault("batch_cap", 4)
     knobs.setdefault("num_layers", 1)
-    config = ServeConfig(model=MODEL, engine=engine, policy=policy, **knobs)
+    config = ServeConfig(model=MODEL, policy=policy, **knobs)
     hardware = get_platform(platform) if platform else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # drain-phase extrapolation clamps
@@ -56,12 +57,13 @@ def run(trace, engine="exact", platform=None, policy=None, **knobs):
 
 
 class TestExactEquivalence:
-    def test_frozen_exact_model_is_bit_identical(self):
+    def test_default_is_bit_identical_to_explicit_exact(self):
         trace = heavy_trace()
-        exact = run(trace)
-        frozen = run(trace, engine="surrogate", cost_model="exact")
-        assert frozen.to_dict() == exact.to_dict()
-        assert frozen.metrics() == exact.metrics()
+        default = run(trace)
+        for spelling in ("exact", {"kind": "exact"}):
+            explicit = run(trace, cost_model=spelling)
+            assert explicit.to_dict() == default.to_dict()
+            assert explicit.metrics() == default.metrics()
 
 
 class TestErrorBound:
@@ -72,7 +74,7 @@ class TestErrorBound:
         trace = heavy_trace()
         spec = get_serve_policy(policy)
         exact = run(trace, platform=platform, policy=spec).metrics()
-        surrogate = run(trace, engine="surrogate", platform=platform,
+        surrogate = run(trace, cost_model="calibrated", platform=platform,
                         policy=spec, calibration_budget=16).metrics()
         for key in PINNED_METRICS:
             rel = abs(surrogate[key] - exact[key]) / max(abs(exact[key]), 1e-9)
@@ -85,7 +87,7 @@ class TestErrorBound:
         """Per-trace invariants hold — every request completes in full."""
         trace = heavy_trace()
         exact = run(trace, platform=platform)
-        surrogate = run(trace, engine="surrogate", platform=platform,
+        surrogate = run(trace, cost_model="calibrated", platform=platform,
                         calibration_budget=16)
         assert surrogate.num_requests == exact.num_requests
         assert surrogate.total_output_tokens == exact.total_output_tokens
@@ -94,16 +96,14 @@ class TestErrorBound:
 class TestDeterminism:
     def test_rerun_is_bit_identical(self):
         trace = heavy_trace()
-        first = run(trace, engine="surrogate", calibration_budget=12)
-        second = run(trace, engine="surrogate", calibration_budget=12)
+        first = run(trace, cost_model="calibrated", calibration_budget=12)
+        second = run(trace, cost_model="calibrated", calibration_budget=12)
         assert first.to_dict() == second.to_dict()
 
     def test_table_kind_is_deterministic_too(self):
         trace = heavy_trace()
-        first = run(trace, engine="surrogate", cost_model="table",
-                    calibration_budget=12)
-        second = run(trace, engine="surrogate", cost_model="table",
-                     calibration_budget=12)
+        first = run(trace, cost_model="table", calibration_budget=12)
+        second = run(trace, cost_model="table", calibration_budget=12)
         assert first.to_dict() == second.to_dict()
 
 
@@ -114,31 +114,31 @@ class TestSingleSignatureWorkloads:
         trace = trace_from_lists([float(i) * 50_000.0 for i in range(n)],
                                  [16] * n, [1] * n, name="constant")
         exact = run(trace)
-        surrogate = run(trace, engine="surrogate", calibration_budget=2)
+        surrogate = run(trace, cost_model="calibrated", calibration_budget=2)
         assert surrogate.to_dict() == exact.to_dict()
 
 
 class TestConfigValidation:
-    def test_unknown_engine(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            ServeConfig(model=MODEL, engine="warp")
+    def test_engine_is_not_a_knob(self):
+        # cost_model is the only costing axis
+        with pytest.raises(TypeError, match="engine"):
+            ServeConfig(model=MODEL, engine="exact")
 
     def test_empty_calibration_budget(self):
         with pytest.raises(ConfigError, match="calibration_budget"):
-            ServeConfig(model=MODEL, engine="surrogate", calibration_budget=0)
+            ServeConfig(model=MODEL, cost_model="calibrated",
+                        calibration_budget=0)
 
-    def test_cost_model_requires_surrogate_engine(self):
-        with pytest.raises(ConfigError, match="engine='surrogate'"):
-            ServeConfig(model=MODEL, cost_model="calibrated")
+    def test_exact_is_the_default(self):
+        assert ServeConfig(model=MODEL).cost_model == "exact"
 
     def test_unknown_cost_model_name(self):
         with pytest.raises(ConfigError, match="registered"):
-            ServeConfig(model=MODEL, engine="surrogate",
-                        cost_model="quadratic")
+            ServeConfig(model=MODEL, cost_model="quadratic")
 
-    def test_none_resolves_to_adaptive_calibrated(self):
-        config = ServeConfig(model=MODEL, engine="surrogate")
-        assert config.cost_model == "calibrated"
+    def test_none_is_rejected(self):
+        with pytest.raises(ConfigError, match="registered name"):
+            ServeConfig(model=MODEL, cost_model=None)
 
     def test_mismatched_context_is_refused(self):
         """A model calibrated for seed 0 must not run against seed 1."""
@@ -146,10 +146,10 @@ class TestConfigValidation:
                                     max_tokens=32, max_kv_rows=256,
                                     num_layers=1, seed=0)
         trace = heavy_trace(num_requests=4)
-        run(trace, engine="surrogate", cost_model=fitted, num_layers=1,
+        run(trace, cost_model=fitted, num_layers=1,
             kv_tile_rows=64, seed=0)  # matching context serves fine
         with pytest.raises(ConfigError, match="recalibrate"):
-            run(trace, engine="surrogate", cost_model=fitted, num_layers=1,
+            run(trace, cost_model=fitted, num_layers=1,
                 kv_tile_rows=64, seed=1)
 
 
@@ -161,8 +161,7 @@ class TestFittedArtifacts:
                                     num_layers=1)
         trace = heavy_trace()
         exact = run(trace, num_layers=1).metrics()
-        surrogate = run(trace, engine="surrogate", cost_model=fitted,
-                        num_layers=1).metrics()
+        surrogate = run(trace, cost_model=fitted, num_layers=1).metrics()
         assert surrogate["requests"] == exact["requests"]
         # batch composition may recompose under surrogate latencies, so the
         # step count drifts slightly but stays in the exact engine's regime
@@ -174,6 +173,5 @@ class TestFittedArtifacts:
         fitted, _ = calibrate_model(MODEL, budget=8, batch_cap=2,
                                     max_tokens=32, max_kv_rows=256,
                                     num_layers=1)
-        config = ServeConfig(model=MODEL, engine="surrogate",
-                             cost_model=fitted.to_dict())
+        config = ServeConfig(model=MODEL, cost_model=fitted.to_dict())
         assert config.cost_model == fitted

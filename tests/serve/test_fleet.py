@@ -22,10 +22,15 @@ def model():
                    num_experts=2, experts_per_token=1)
 
 
-def serve_config(model, **overrides):
+def serve_config(model, cls=ServeConfig, **overrides):
     defaults = dict(batch_cap=2, num_layers=1, kv_tile_rows=64, seed=3)
     defaults.update(overrides)
-    return ServeConfig(model=model, **defaults)
+    return cls(model=model, **defaults)
+
+
+def fleet_config(model, **overrides):
+    """A fleet of :func:`serve_config` replicas."""
+    return serve_config(model, FleetConfig, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +49,7 @@ class TestSingleReplicaEquivalence:
         engine, bit for bit (same requests, steps and every latency)."""
         config = serve_config(model)
         single = simulate_serving(config, busy_trace, Schedule.dynamic())
-        fleet = simulate_fleet(FleetConfig(serve=config, num_replicas=1),
+        fleet = simulate_fleet(fleet_config(model, num_replicas=1),
                                busy_trace, Schedule.dynamic())
         assert fleet.num_replicas == 1
         assert fleet.replicas[0].serving.to_dict() == single.to_dict()
@@ -58,7 +63,7 @@ class TestSingleReplicaEquivalence:
                               output_mean=3.0, output_max=8)
         config = serve_config(model)
         single = simulate_serving(config, trace, Schedule.dynamic())
-        fleet = simulate_fleet(FleetConfig(serve=config, num_replicas=1),
+        fleet = simulate_fleet(fleet_config(model, num_replicas=1),
                                trace, Schedule.dynamic())
         assert fleet.replicas[0].serving.to_dict() == single.to_dict()
 
@@ -67,26 +72,25 @@ class TestDispatch:
     def test_every_request_served_exactly_once(self, model, busy_trace):
         for routing in routing_policy_names():
             fleet = simulate_fleet(
-                FleetConfig(serve=serve_config(model), num_replicas=2,
-                            routing=routing),
+                fleet_config(model, num_replicas=2,
+                             routing=routing),
                 busy_trace, Schedule.dynamic())
             ids = sorted(r.request_id for r in fleet.requests)
             assert ids == list(range(len(busy_trace))), routing
 
     def test_round_robin_alternates_replicas(self, model, busy_trace):
         fleet = simulate_fleet(
-            FleetConfig(serve=serve_config(model), num_replicas=2,
-                        routing="round-robin"),
+            fleet_config(model, num_replicas=2,
+                         routing="round-robin"),
             busy_trace, Schedule.dynamic())
         counts = [rep.serving.num_requests for rep in fleet.replicas]
         assert counts == [4, 4]
 
     def test_replication_relieves_the_queue(self, model, busy_trace):
-        config = serve_config(model)
-        one = simulate_fleet(FleetConfig(serve=config, num_replicas=1),
+        one = simulate_fleet(fleet_config(model, num_replicas=1),
                              busy_trace, Schedule.dynamic())
-        four = simulate_fleet(FleetConfig(serve=config, num_replicas=4,
-                                          routing="least-loaded"),
+        four = simulate_fleet(fleet_config(model, num_replicas=4,
+                                           routing="least-loaded"),
                               busy_trace, Schedule.dynamic())
         assert four.ttft()["p95"] < one.ttft()["p95"]
 
@@ -98,10 +102,9 @@ class TestDispatch:
             prompt_tokens=[128, 16, 16, 16, 16, 16],
             output_tokens=[6, 2, 2, 2, 2, 2],
             name="skewed")
-        config = serve_config(model)
         reports = {
             routing: simulate_fleet(
-                FleetConfig(serve=config, num_replicas=2, routing=routing),
+                fleet_config(model, num_replicas=2, routing=routing),
                 trace, Schedule.dynamic())
             for routing in ("round-robin", "least-loaded")}
         assert (reports["least-loaded"].imbalance
@@ -109,18 +112,17 @@ class TestDispatch:
 
     def test_unknown_routing_rejected(self, model):
         with pytest.raises(ConfigError, match="unknown routing policy"):
-            FleetConfig(serve=serve_config(model), routing="random")
+            fleet_config(model, routing="random")
         with pytest.raises(ConfigError, match="unknown routing policy"):
             get_routing_policy("nope")
 
 
 class TestWarmup:
     def test_warmup_delays_the_first_step(self, model, busy_trace):
-        config = serve_config(model)
         cold = simulate_fleet(
-            FleetConfig(serve=config, num_replicas=1, warmup_cycles=10_000.0),
+            fleet_config(model, num_replicas=1, warmup_cycles=10_000.0),
             busy_trace, Schedule.dynamic())
-        warm = simulate_fleet(FleetConfig(serve=config, num_replicas=1),
+        warm = simulate_fleet(fleet_config(model, num_replicas=1),
                               busy_trace, Schedule.dynamic())
         cold_first = cold.replicas[0].serving.steps[0]
         warm_first = warm.replicas[0].serving.steps[0]
@@ -129,8 +131,8 @@ class TestWarmup:
 
     def test_warmup_charged_once_per_replica(self, model, busy_trace):
         fleet = simulate_fleet(
-            FleetConfig(serve=serve_config(model), num_replicas=2,
-                        warmup_cycles=5_000.0),
+            fleet_config(model, num_replicas=2,
+                         warmup_cycles=5_000.0),
             busy_trace, Schedule.dynamic())
         for rep in fleet.replicas:
             steps = rep.serving.steps
@@ -141,7 +143,7 @@ class TestWarmup:
 
     def test_negative_warmup_rejected(self, model):
         with pytest.raises(ConfigError, match="warmup_cycles"):
-            FleetConfig(serve=serve_config(model), warmup_cycles=-1.0)
+            fleet_config(model, warmup_cycles=-1.0)
 
 
 class TestAutoscaler:
@@ -154,9 +156,9 @@ class TestAutoscaler:
                             prompt_mean=24.0, prompt_max=64,
                             output_mean=3.0, output_max=8)
         return simulate_fleet(
-            FleetConfig(serve=serve_config(model), num_replicas=1,
-                        routing="least-loaded",
-                        autoscaler=AutoscalerConfig(**defaults)),
+            fleet_config(model, num_replicas=1,
+                         routing="least-loaded",
+                         autoscaler=AutoscalerConfig(**defaults)),
             trace, Schedule.dynamic())
 
     def test_burst_load_scales_the_fleet_up(self, model):
@@ -199,11 +201,11 @@ class TestAutoscaler:
 
 class TestDeterminism:
     def test_fleet_report_is_bit_identical_across_runs(self, model, busy_trace):
-        config = FleetConfig(serve=serve_config(model), num_replicas=3,
-                             routing="least-kv", warmup_cycles=2_500.0,
-                             autoscaler=AutoscalerConfig(
-                                 max_replicas=4, scale_up_depth=2.0,
-                                 cooldown_cycles=1_000.0))
+        config = fleet_config(model, num_replicas=3,
+                              routing="least-kv", warmup_cycles=2_500.0,
+                              autoscaler=AutoscalerConfig(
+                                  max_replicas=4, scale_up_depth=2.0,
+                                  cooldown_cycles=1_000.0))
         first = simulate_fleet(config, busy_trace, Schedule.dynamic())
         second = simulate_fleet(config, busy_trace, Schedule.dynamic())
         assert first.to_dict() == second.to_dict()
@@ -223,7 +225,7 @@ class TestDeterminism:
     def test_empty_trace_yields_empty_report(self, model):
         empty = ArrivalTrace(name="empty", requests=())
         fleet = simulate_fleet(
-            FleetConfig(serve=serve_config(model), num_replicas=2),
+            fleet_config(model, num_replicas=2),
             empty, Schedule.dynamic())
         assert fleet.num_requests == 0
         assert fleet.total_cycles == 0.0
@@ -235,10 +237,10 @@ class TestDeterminism:
 class TestFleetReportRoundTrip:
     def test_to_dict_from_dict_round_trips(self, model, busy_trace):
         fleet = simulate_fleet(
-            FleetConfig(serve=serve_config(model), num_replicas=2,
-                        routing="least-loaded", warmup_cycles=1_000.0,
-                        autoscaler=AutoscalerConfig(scale_up_depth=2.0,
-                                                    cooldown_cycles=0.0)),
+            fleet_config(model, num_replicas=2,
+                         routing="least-loaded", warmup_cycles=1_000.0,
+                         autoscaler=AutoscalerConfig(scale_up_depth=2.0,
+                                                     cooldown_cycles=0.0)),
             busy_trace, Schedule.dynamic())
         restored = FleetReport.from_dict(fleet.to_dict())
         assert restored.to_dict() == fleet.to_dict()
@@ -340,17 +342,15 @@ class TestKVRouting:
             "import json\n"
             "from dataclasses import replace\n"
             "from repro.schedules import Schedule\n"
-            "from repro.serve import FleetConfig, ServeConfig, poisson_trace, "
-            "simulate_fleet\n"
+            "from repro.serve import FleetConfig, poisson_trace, simulate_fleet\n"
             "from repro.workloads.configs import QWEN3_30B_A3B, scaled_config\n"
             "model = replace(scaled_config(QWEN3_30B_A3B, scale=64),\n"
             "                name='fleet-2e', num_experts=2, experts_per_token=1)\n"
             "trace = poisson_trace(rate=500.0, num_requests=8, seed=3,\n"
             "                      prompt_mean=24.0, prompt_max=64,\n"
             "                      output_mean=3.0, output_max=8)\n"
-            "config = FleetConfig(serve=ServeConfig(model=model, batch_cap=2,\n"
-            "                                       num_layers=1, seed=3),\n"
-            "                     num_replicas=3, routing='least-kv')\n"
+            "config = FleetConfig(model=model, batch_cap=2, num_layers=1,\n"
+            "                     seed=3, num_replicas=3, routing='least-kv')\n"
             "print(json.dumps(simulate_fleet(config, trace, "
             "Schedule.dynamic()).to_dict(), sort_keys=True))\n")
 
@@ -369,18 +369,13 @@ class TestKVRouting:
                               output_mean=3.0, output_max=8)
         least, most = (
             simulate_fleet(
-                FleetConfig(serve=serve_config(model), num_replicas=3,
-                            routing=routing),
+                fleet_config(model, num_replicas=3, routing=routing),
                 trace, Schedule.dynamic()).to_dict()
             for routing in ("least-kv", "most-free-kv"))
         # same dispatch decisions on every request; only the policy label
-        # differs in the payload (step_cache is live process-wide memo state,
-        # not run state — excluded from run-equality comparisons)
+        # differs in the payload
         assert least.pop("routing") == "least-kv"
         assert most.pop("routing") == "most-free-kv"
-        for payload in (least, most):
-            for replica in payload["replicas"]:
-                replica["serving"].pop("step_cache")
         assert least == most
 
     def test_free_kv_pages_signal(self, model):
@@ -411,8 +406,8 @@ class TestKVRouting:
             output_tokens=[96, 96, 96, 96, 96, 96],
             name="fleet-pressure")
         fleet = simulate_fleet(
-            FleetConfig(serve=serve_config(model, batch_cap=4),
-                        num_replicas=2, routing="most-free-kv"),
+            fleet_config(model, batch_cap=4,
+                         num_replicas=2, routing="most-free-kv"),
             trace, Schedule.dynamic(), hardware=platform)
         expected = sum(r.serving.memory.preemptions for r in fleet.replicas
                        if r.serving.memory is not None)

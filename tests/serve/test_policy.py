@@ -217,8 +217,14 @@ class TestSerialization:
                              policy=ServePolicy(batching="chunked-prefill"))
         assert config.policy.batching == "chunked-prefill"
         assert ServeConfig(model=serve_model()).policy is DEFAULT_POLICY
-        with pytest.raises(ConfigError, match="resolve_serve_policy"):
-            ServeConfig(model=serve_model(), policy="chunked-prefill")
+        assert ServeConfig(model=serve_model(), policy=None).policy is DEFAULT_POLICY
+        # preset names and spec dicts resolve at construction
+        assert ServeConfig(model=serve_model(),
+                           policy="chunked-prefill").policy == config.policy
+        assert ServeConfig(model=serve_model(),
+                           policy={"batching": "chunked-prefill"}).policy == config.policy
+        with pytest.raises(ConfigError, match="cannot resolve a serve policy"):
+            ServeConfig(model=serve_model(), policy=42)
 
     def test_duplicate_registrations_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):

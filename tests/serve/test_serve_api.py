@@ -7,8 +7,8 @@ import pytest
 import repro.api as api
 from repro.api.workload import workload_from_params
 from repro.schedules import Schedule
-from repro.serve import (ServeWorkload, ServingReport, latency_load_spec,
-                         poisson_trace)
+from repro.serve import (ServeWorkload, ServingReport, fleet_point,
+                         latency_load_spec, poisson_trace, serve_point)
 from repro.sweep import ResultCache, SweepRunner, canonicalize
 from repro.workloads.configs import QWEN3_30B_A3B, scaled_config
 
@@ -35,6 +35,16 @@ class TestServeFacade:
         assert isinstance(report, ServingReport)
         assert report.num_requests == len(tiny_trace)
         assert report.schedule == "dynamic"  # the default schedule
+
+    def test_platform_is_the_only_hardware_spelling(self, model, tiny_trace):
+        with pytest.raises(TypeError, match="hardware"):
+            api.serve(model, tiny_trace, hardware="sda")
+        with pytest.raises(TypeError, match="hardware"):
+            api.serve_fleet(model, tiny_trace, hardware="sda")
+        for task in (serve_point, fleet_point):
+            with pytest.raises(TypeError, match="hardware"):
+                task(model, Schedule.dynamic(), arrival_rate=100.0,
+                     num_requests=2, hardware="sda")
 
     def test_serve_scenarios_are_registered(self):
         names = api.scenario_names()
