@@ -50,8 +50,9 @@ from .arrivals import (MCYCLE, TRACE_JSONL_VERSION, ArrivalTrace, Request,
 from .generators import (GENERATORS, generate_trace, generator_names,
                          get_generator, register_generator)
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
-                        REPORT_MODES, QuantileSketch, StreamingStats,
-                        WindowedTimeline)
+                        PERCENTILE_POINTS, REPORT_MODES, ExactSample,
+                        QuantileSketch, StreamingStats, WindowedTimeline,
+                        percentile, summarize)
 from .registry import (builtin_names, is_builtin, registered_names,
                        registry_kinds, resolve_registered)
 from .policy import (ADMISSION_POLICIES, BATCHING_POLICIES, DEFAULT_POLICY,
@@ -62,9 +63,8 @@ from .policy import (ADMISSION_POLICIES, BATCHING_POLICIES, DEFAULT_POLICY,
                      register_admission_policy, register_batching_policy,
                      register_priority_policy, register_serve_policy,
                      resolve_serve_policy, serve_policy_names)
-from .report import (PERCENTILE_POINTS, FleetReport, ReplicaReport,
-                     RequestRecord, ScalingEvent, ServingReport, StepSample,
-                     percentile, priority_breakdown, summarize)
+from .report import (FleetReport, ReplicaReport, RequestRecord, ScalingEvent,
+                     ServingReport, StepSample)
 from .workload import ServeStepWorkload
 from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
                      MemoryStats, eviction_policy_names, get_eviction_policy,
@@ -99,24 +99,24 @@ __all__ = [
     "get_generator",
     "generator_names",
     "generate_trace",
-    # streaming analytics
+    # serving statistics
     "REPORT_MODES",
     "DEFAULT_SKETCH_ACCURACY",
     "DEFAULT_WINDOW_CYCLES",
+    "PERCENTILE_POINTS",
+    "percentile",
+    "summarize",
+    "ExactSample",
     "QuantileSketch",
     "WindowedTimeline",
     "StreamingStats",
     # report
-    "PERCENTILE_POINTS",
     "RequestRecord",
     "StepSample",
     "ServingReport",
     "FleetReport",
     "ReplicaReport",
     "ScalingEvent",
-    "percentile",
-    "summarize",
-    "priority_breakdown",
     # registries (shared index)
     "resolve_registered",
     "registered_names",

@@ -35,70 +35,30 @@ requests completed — an overloaded replica, a drained-out class) reports
 ``count`` 0 with zeroed statistics, which is distinguishable from a sample
 whose latencies are genuinely zero.
 
-**Streaming mode.**  A report produced under ``report_mode="streaming"``
-(see :class:`~repro.serve.scheduler.ServeConfig`) carries no per-request
-records or per-step samples at all — instead its ``streaming`` field holds a
-:class:`~repro.serve.streaming.StreamingStats` bundle (online percentile
-sketches + a windowed timeline) and every aggregate on this class dispatches
-to it.  Percentiles are then within the sketch's documented relative error of
-the exact nearest-rank values; counts, means, maxima and queue-depth means
-remain exact.  ``"full"`` mode (the default) is byte-identical to the
-pre-streaming serialization.
+**One accumulator.**  Every aggregate on both report kinds reads one
+:class:`~repro.serve.streaming.StreamingStats` (``stats``).  A ``"full"``-mode
+report (the default) keeps every request record and step sample and folds
+them once into exact samples, so its percentiles are the exact nearest-rank
+values.  A report produced under ``report_mode="streaming"`` (see
+:class:`~repro.serve.scheduler.ServeConfig`) carries no per-request records or
+per-step samples at all: its ``streaming`` field holds the sketch-backed stats
+the run fed as it went.  Percentiles are then within the sketch's documented
+relative error of the exact values; counts, means, maxima and queue-depth
+means stay exact.  A :class:`FleetReport` merges its replicas' stats once,
+the same way in both modes.  Full-mode serialization is byte-identical to the
+pre-streaming format.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ConfigError
 from .arrivals import MCYCLE
 from .memory import MemoryStats
 from .streaming import DEFAULT_WINDOW_CYCLES, StreamingStats, WindowedTimeline
-
-#: the percentile points every latency summary reports
-PERCENTILE_POINTS = (50, 90, 95, 99)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile: the ``ceil(q/100 * n)``-th smallest sample.
-
-    Deterministic, interpolation-free and always an observed value; ``q=0``
-    returns the minimum, ``q=100`` the maximum.  Raises on an empty sample.
-    """
-    if not values:
-        raise ConfigError("percentile of an empty sample")
-    if not 0 <= q <= 100:
-        raise ConfigError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Mean / max / nearest-rank percentiles of a latency sample.
-
-    The sample is sorted **once** and every percentile point indexes into the
-    sorted copy (the previous implementation re-sorted per point — four sorts
-    plus a max per summary).  ``count`` distinguishes an empty sample from
-    genuinely zero latencies: a replica that completed nothing reports
-    ``count`` 0 with zeroed statistics, not a perfect p99 of 0.0.
-    """
-    if not values:
-        return {"mean": 0.0, "max": 0.0,
-                **{f"p{q}": 0.0 for q in PERCENTILE_POINTS},
-                "count": 0.0}
-    ordered = sorted(values)
-    n = len(ordered)
-    # the mean accumulates in observation order (not sorted order): float
-    # addition is order-sensitive and the pre-fix values are pinned
-    summary = {"mean": float(sum(values) / n), "max": float(ordered[-1])}
-    for q in PERCENTILE_POINTS:
-        rank = max(1, math.ceil(q / 100.0 * n))
-        summary[f"p{q}"] = float(ordered[rank - 1])
-    summary["count"] = float(n)
-    return summary
 
 
 @dataclass(frozen=True)
@@ -148,31 +108,6 @@ class RequestRecord:
                    priority=int(payload.get("priority", 0)))
 
 
-def priority_breakdown(records: Sequence["RequestRecord"]) -> Dict[int, Dict[str, Any]]:
-    """Per-priority-class latency summaries over a request sample.
-
-    Maps each priority class present in ``records`` to its request count and
-    TTFT / TPOT / e2e percentile summaries (the same nearest-rank summaries
-    the aggregate report uses) — the signal a priority or SLO-deadline policy
-    is supposed to move: class 0 should hold its tail while lower classes
-    absorb the queueing.  Shared by :meth:`ServingReport.per_priority` and
-    :meth:`FleetReport.per_priority`.
-    """
-    classes: Dict[int, list] = {}
-    for record in records:
-        classes.setdefault(record.priority, []).append(record)
-    breakdown: Dict[int, Dict[str, Any]] = {}
-    for cls in sorted(classes):
-        group = classes[cls]
-        breakdown[cls] = {
-            "requests": len(group),
-            "ttft": summarize([r.ttft for r in group]),
-            "tpot": summarize([r.tpot for r in group if r.output_tokens > 1]),
-            "e2e": summarize([r.e2e for r in group]),
-        }
-    return breakdown
-
-
 @dataclass(frozen=True)
 class StepSample:
     """One scheduler step of the queue-depth timeline."""
@@ -217,8 +152,92 @@ class StepSample:
                    preemptions=int(payload.get("preemptions", 0)))
 
 
+class _Aggregates:
+    """The aggregates both report kinds read off their ``stats``.
+
+    Subclasses provide ``stats`` (a :class:`StreamingStats`) and
+    ``total_cycles`` (the makespan).
+    """
+
+    stats: StreamingStats
+
+    @property
+    def num_requests(self) -> int:
+        return self.stats.num_requests
+
+    @property
+    def total_output_tokens(self) -> int:
+        return self.stats.total_output_tokens
+
+    def ttft(self) -> Dict[str, float]:
+        return self.stats.ttft.summarize()
+
+    def tpot(self) -> Dict[str, float]:
+        return self.stats.tpot.summarize()
+
+    def e2e(self) -> Dict[str, float]:
+        return self.stats.e2e.summarize()
+
+    def per_priority(self) -> Dict[int, Dict[str, Any]]:
+        """Per-priority-class request counts and latency percentile summaries."""
+        return self.stats.per_priority()
+
+    def priority_classes(self) -> Tuple[int, ...]:
+        """The priority classes present among the served requests, sorted."""
+        return self.stats.priority_classes()
+
+    def queue_depth(self) -> Dict[str, float]:
+        """Mean / max of waiting (queued) and running requests over the steps."""
+        return self.stats.timeline.queue_depth()
+
+    def slo_attainment(self, ttft_slo: float) -> float:
+        """The fraction of requests whose TTFT met the SLO (in cycles)."""
+        return self.stats.slo_attainment(ttft_slo)
+
+    def slo_attainment_by_priority(self, ttft_slo: float) -> Dict[int, float]:
+        """Per-class fraction of requests whose TTFT met the SLO."""
+        return self.stats.slo_attainment_by_priority(ttft_slo)
+
+    @property
+    def goodput(self) -> float:
+        """Completed requests per million cycles."""
+        if self.total_cycles <= 0:
+            return 0.0
+        return self.num_requests / self.total_cycles * MCYCLE
+
+    @property
+    def token_throughput(self) -> float:
+        """Generated tokens per thousand cycles."""
+        if self.total_cycles <= 0:
+            return 0.0
+        return self.total_output_tokens / self.total_cycles * 1000.0
+
+    def slo_goodput(self, ttft_slo: float) -> float:
+        """SLO-attaining completions per million cycles.
+
+        *Goodput* in the strict sense: only requests whose first token met
+        the TTFT budget count as useful work.  Past saturation this declines
+        where raw :attr:`goodput` merely plateaus — queueing (and, under
+        finite HBM, admission stalls / preemption recompute) pushes an
+        ever-larger share of completions past the budget, which is the
+        goodput cliff the memory-pressure experiment measures.
+        """
+        met = self.stats.ttft.count_le(ttft_slo)
+        if self.total_cycles <= 0:
+            return 0.0
+        return met / self.total_cycles * MCYCLE
+
+    def _latency_metrics(self) -> Dict[str, float]:
+        """The flat ``ttft_*`` / ``tpot_*`` / ``e2e_*`` metric keys."""
+        return {f"{prefix}_{key}": value
+                for prefix, summary in (("ttft", self.ttft()),
+                                        ("tpot", self.tpot()),
+                                        ("e2e", self.e2e()))
+                for key, value in summary.items()}
+
+
 @dataclass
-class ServingReport:
+class ServingReport(_Aggregates):
     """The complete result of one serving simulation."""
 
     #: the trace name this run served
@@ -242,8 +261,8 @@ class ServingReport:
     #: predating the policy axis
     policy: Optional[Dict[str, Any]] = None
     #: the O(1)-memory statistics of a ``report_mode="streaming"`` run; when
-    #: present, ``requests``/``steps`` are empty and every aggregate below
-    #: dispatches here.  ``None`` = full mode, bit-identical to pre-streaming
+    #: present, ``requests``/``steps`` are empty and these are the report's
+    #: ``stats``.  ``None`` = full mode, bit-identical to pre-streaming
     streaming: Optional[StreamingStats] = None
 
     def __post_init__(self) -> None:
@@ -256,118 +275,17 @@ class ServingReport:
         """``"streaming"`` when the run kept sketches, else ``"full"``."""
         return "full" if self.streaming is None else "streaming"
 
-    @property
-    def num_requests(self) -> int:
-        if self.streaming is not None:
-            return self.streaming.num_requests
-        return len(self.requests)
+    @cached_property
+    def stats(self) -> StreamingStats:
+        """The run's aggregates: the stored ``streaming`` stats, or — in full
+        mode — the records and steps folded once into exact samples."""
+        if self.streaming is None:
+            return StreamingStats.of_records(self.requests, self.steps)
+        return self.streaming
 
     @property
     def num_steps(self) -> int:
-        if self.streaming is not None:
-            return self.streaming.num_steps
-        return len(self.steps)
-
-    @property
-    def total_output_tokens(self) -> int:
-        if self.streaming is not None:
-            return self.streaming.total_output_tokens
-        return sum(r.output_tokens for r in self.requests)
-
-    def ttft(self) -> Dict[str, float]:
-        if self.streaming is not None:
-            return self.streaming.ttft.summarize()
-        return summarize([r.ttft for r in self.requests])
-
-    def tpot(self) -> Dict[str, float]:
-        if self.streaming is not None:
-            return self.streaming.tpot.summarize()
-        return summarize([r.tpot for r in self.requests if r.output_tokens > 1])
-
-    def e2e(self) -> Dict[str, float]:
-        if self.streaming is not None:
-            return self.streaming.e2e.summarize()
-        return summarize([r.e2e for r in self.requests])
-
-    def per_priority(self) -> Dict[int, Dict[str, Any]]:
-        """Per-priority-class request counts and latency percentile summaries."""
-        if self.streaming is not None:
-            return self.streaming.per_priority()
-        return priority_breakdown(self.requests)
-
-    def priority_classes(self) -> Tuple[int, ...]:
-        """The priority classes present among the served requests, sorted."""
-        if self.streaming is not None:
-            return self.streaming.priority_classes()
-        return tuple(sorted({r.priority for r in self.requests}))
-
-    def slo_attainment_by_priority(self, ttft_slo: float) -> Dict[int, float]:
-        """Per-class fraction of requests whose TTFT met the SLO."""
-        if self.streaming is not None:
-            return self.streaming.slo_attainment_by_priority(ttft_slo)
-        attainment: Dict[int, float] = {}
-        for cls, payload in self.per_priority().items():
-            group = [r for r in self.requests if r.priority == cls]
-            met = sum(1 for r in group if r.ttft <= ttft_slo)
-            attainment[cls] = met / payload["requests"]
-        return attainment
-
-    @property
-    def goodput(self) -> float:
-        """Completed requests per million cycles."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.num_requests / self.total_cycles * MCYCLE
-
-    @property
-    def token_throughput(self) -> float:
-        """Generated tokens per thousand cycles."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.total_output_tokens / self.total_cycles * 1000.0
-
-    def slo_attainment(self, ttft_slo: float) -> float:
-        """The fraction of requests whose TTFT met the SLO (in cycles)."""
-        if self.streaming is not None:
-            return self.streaming.slo_attainment(ttft_slo)
-        if not self.requests:
-            return 0.0
-        met = sum(1 for r in self.requests if r.ttft <= ttft_slo)
-        return met / len(self.requests)
-
-    def slo_goodput(self, ttft_slo: float) -> float:
-        """SLO-attaining completions per million cycles.
-
-        *Goodput* in the strict sense: only requests whose first token met
-        the TTFT budget count as useful work.  Past saturation this declines
-        where raw :attr:`goodput` merely plateaus — queueing (and, under
-        finite HBM, admission stalls / preemption recompute) pushes an
-        ever-larger share of completions past the budget, which is the
-        goodput cliff the memory-pressure experiment measures.
-        """
-        if self.total_cycles <= 0:
-            return 0.0
-        if self.streaming is not None:
-            met = self.streaming.ttft.count_le(ttft_slo)
-        else:
-            met = sum(1 for r in self.requests if r.ttft <= ttft_slo)
-        return met / self.total_cycles * MCYCLE
-
-    def queue_depth(self) -> Dict[str, float]:
-        """Mean / max of waiting (queued) and running requests over the steps."""
-        if self.streaming is not None:
-            return self.streaming.queue_depth()
-        if not self.steps:
-            return {"queued_mean": 0.0, "queued_max": 0.0,
-                    "running_mean": 0.0, "running_max": 0.0}
-        queued = [s.queued for s in self.steps]
-        running = [s.running for s in self.steps]
-        return {
-            "queued_mean": float(sum(queued) / len(queued)),
-            "queued_max": float(max(queued)),
-            "running_mean": float(sum(running) / len(running)),
-            "running_max": float(max(running)),
-        }
+        return self.stats.num_steps
 
     def utilization_heatmap(self, window_cycles: Optional[float] = None
                             ) -> list:
@@ -386,7 +304,7 @@ class ServingReport:
                 raise ConfigError(
                     f"streaming report windows are fixed at {width} cycles; "
                     f"cannot re-window to {window_cycles}")
-            return self.streaming.utilization_heatmap(self.batch_cap)
+            return self.streaming.timeline.utilization_heatmap(self.batch_cap)
         timeline = WindowedTimeline(window_cycles if window_cycles is not None
                                     else DEFAULT_WINDOW_CYCLES)
         for sample in self.steps:
@@ -404,11 +322,8 @@ class ServingReport:
             "tokens_per_kcycle": float(self.token_throughput),
             "steps": float(self.num_steps),
             "distinct_steps": float(self.distinct_steps),
+            **self._latency_metrics(),
         }
-        for prefix, summary in (("ttft", self.ttft()), ("tpot", self.tpot()),
-                                ("e2e", self.e2e())):
-            for key, value in summary.items():
-                flat[f"{prefix}_{key}"] = value
         flat.update({f"queue_{k}": v for k, v in self.queue_depth().items()})
         # memory keys are always present so sweep rows stay rectangular
         # across bounded and unbounded platforms in the same grid
@@ -508,9 +423,7 @@ class ReplicaReport:
     @property
     def busy_cycles(self) -> float:
         """Cycles this replica spent executing steps."""
-        if self.serving.streaming is not None:
-            return float(self.serving.streaming.busy_cycles)
-        return float(sum(s.cycles for s in self.serving.steps))
+        return float(self.serving.stats.busy_cycles)
 
     def utilization(self, fleet_cycles: float) -> float:
         """Busy fraction of the replica's lifetime within the fleet run.
@@ -538,7 +451,7 @@ class ReplicaReport:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(_Aggregates):
     """The complete result of one multi-replica serving simulation."""
 
     #: the trace name the fleet served
@@ -567,13 +480,15 @@ class FleetReport:
         merged = [r for replica in self.replicas for r in replica.serving.requests]
         return tuple(sorted(merged, key=lambda r: r.request_id))
 
-    @property
-    def num_requests(self) -> int:
-        return sum(r.serving.num_requests for r in self.replicas)
+    @cached_property
+    def stats(self) -> StreamingStats:
+        """Every replica's stats merged once, the same way in both modes.
 
-    @property
-    def total_output_tokens(self) -> int:
-        return sum(r.serving.total_output_tokens for r in self.replicas)
+        A fleet mixing full and streaming replicas (impossible through
+        :func:`~repro.serve.fleet.simulate_fleet`, which threads one
+        ``report_mode`` to every replica) is a :class:`ConfigError`.
+        """
+        return StreamingStats.merged([r.serving.stats for r in self.replicas])
 
     @property
     def num_replicas(self) -> int:
@@ -584,73 +499,6 @@ class FleetReport:
     def final_replicas(self) -> int:
         """Replicas still accepting traffic when the run ended."""
         return sum(1 for r in self.replicas if r.retired_at is None)
-
-    def _merged_streaming(self) -> Optional[StreamingStats]:
-        """The fleet's replica sketches merged, or ``None`` in full mode.
-
-        Streaming aggregation only engages when *every* replica streamed —
-        a mixed fleet (impossible through :func:`simulate_fleet`, which
-        threads one ``report_mode`` to all replicas) falls back to the
-        record-merging path.
-        """
-        stats = [r.serving.streaming for r in self.replicas]
-        if not stats or any(s is None for s in stats):
-            return None
-        merged = StreamingStats(rel_accuracy=stats[0].rel_accuracy,
-                                window_cycles=stats[0].timeline.window_cycles)
-        for s in stats:
-            merged.merge(s)
-        return merged
-
-    def latency_summaries(self) -> Dict[str, Dict[str, float]]:
-        """TTFT / TPOT / e2e summaries over the fleet, merging requests once.
-
-        The ``requests`` property concatenates and sorts every replica's
-        records; calling :meth:`ttft` / :meth:`tpot` / :meth:`e2e` separately
-        repeated that merge three times.  This does it once (or merges the
-        replica sketches once in streaming mode) and summarizes all three
-        latencies from the same sample.
-        """
-        streaming = self._merged_streaming()
-        if streaming is not None:
-            return {"ttft": streaming.ttft.summarize(),
-                    "tpot": streaming.tpot.summarize(),
-                    "e2e": streaming.e2e.summarize()}
-        merged = self.requests
-        return {"ttft": summarize([r.ttft for r in merged]),
-                "tpot": summarize([r.tpot for r in merged
-                                   if r.output_tokens > 1]),
-                "e2e": summarize([r.e2e for r in merged])}
-
-    def ttft(self) -> Dict[str, float]:
-        return self.latency_summaries()["ttft"]
-
-    def tpot(self) -> Dict[str, float]:
-        return self.latency_summaries()["tpot"]
-
-    def e2e(self) -> Dict[str, float]:
-        return self.latency_summaries()["e2e"]
-
-    def per_priority(self) -> Dict[int, Dict[str, Any]]:
-        """Per-priority-class latency summaries over the whole fleet."""
-        streaming = self._merged_streaming()
-        if streaming is not None:
-            return streaming.per_priority()
-        return priority_breakdown(self.requests)
-
-    @property
-    def goodput(self) -> float:
-        """Completed requests per million cycles of fleet makespan."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.num_requests / self.total_cycles * MCYCLE
-
-    @property
-    def token_throughput(self) -> float:
-        """Generated tokens per thousand cycles of fleet makespan."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.total_output_tokens / self.total_cycles * 1000.0
 
     def utilization(self) -> Dict[str, float]:
         """Mean / min / max busy fraction across the replicas."""
@@ -725,10 +573,7 @@ class FleetReport:
             flat[f"util_{key}"] = value
         for key, value in self.kv_occupancy().items():
             flat[f"kv_occupancy_{key}"] = value
-        # one requests merge (or sketch merge) feeds all three summaries
-        for prefix, summary in self.latency_summaries().items():
-            for key, value in summary.items():
-                flat[f"{prefix}_{key}"] = value
+        flat.update(self._latency_metrics())
         return flat
 
     # -- serialization ---------------------------------------------------------------

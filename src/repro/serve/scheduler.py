@@ -114,8 +114,7 @@ from .policy import (DEFAULT_POLICY, AdmissionPolicy, BatchingPolicy,
 from .registry import resolve_registered
 from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
-                        StreamingStats, make_streaming_stats,
-                        resolve_report_mode)
+                        REPORT_MODES, StreamingStats)
 from .workload import ServeStepWorkload, moe_tile_rows
 
 #: entry cap of the process-wide step-cost memo.  Each entry is one simulated
@@ -247,7 +246,9 @@ class ServeConfig:
             raise ConfigError(f"batch_cap must be >= 1, got {self.batch_cap}")
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        resolve_report_mode(self.report_mode)
+        if self.report_mode not in REPORT_MODES:
+            raise ConfigError(f"unknown report_mode {self.report_mode!r}; "
+                              f"expected one of {list(REPORT_MODES)}")
         if self.window_cycles <= 0:
             raise ConfigError(f"window_cycles must be > 0, "
                               f"got {self.window_cycles}")
@@ -431,7 +432,7 @@ class ReplicaEngine:
         self._busy_cycles = 0.0
         # streaming mode folds records/steps into sketches instead of lists
         self._stream: Optional[StreamingStats] = (
-            make_streaming_stats(config.sketch_accuracy, config.window_cycles)
+            StreamingStats(config.sketch_accuracy, config.window_cycles)
             if config.report_mode == "streaming" else None)
         self._warmed = self.warmup_cycles == 0.0
         # -- finite KV memory (None capacity = unbounded, the legacy path) -----------

@@ -1,11 +1,16 @@
-"""Streaming serving analytics: O(1)-memory percentile sketches and timelines.
+"""Serving statistics: one mergeable accumulator with exact and sketch backends.
 
-A full-mode :class:`~repro.serve.report.ServingReport` holds every
-:class:`~repro.serve.report.RequestRecord` and
-:class:`~repro.serve.report.StepSample` — O(requests + steps) memory, which is
-what keeps million-request capacity studies from running.  This module is the
-``"streaming"`` report mode's backing store:
+Every serving aggregate — request/token/step counts, TTFT / TPOT / e2e
+summaries, per-priority breakdowns, SLO attainment, busy cycles and the
+queue-depth timeline — is computed here, by :class:`StreamingStats`, whatever
+the report mode.  Its latency samples come from one of two backends behind
+the same small protocol (``observe``, ``merge``, ``count``, ``count_le``,
+``summarize``):
 
+* :class:`ExactSample` — a list-backed sample whose summaries are the exact
+  nearest-rank :func:`summarize`.  A ``"full"``-mode
+  :class:`~repro.serve.report.ServingReport` folds its request records and
+  step samples into exact samples once (:meth:`StreamingStats.of_records`),
 * :class:`QuantileSketch` — an online nearest-rank percentile estimator over
   log-spaced buckets (the DDSketch discipline): a value ``v`` lands in bucket
   ``ceil(log_gamma(v))`` with ``gamma = (1 + a) / (1 - a)``, so every bucket
@@ -16,27 +21,26 @@ what keeps million-request capacity studies from running.  This module is the
   sample (pinned by ``tests/serve/test_streaming.py`` under constant, bimodal
   and heavy-tailed adversarial inputs).  Deterministic (no randomization,
   no compaction), mergeable (fleet aggregation sums bucket counts) and
-  serializable,
-* :class:`WindowedTimeline` — fixed cycle-width windows aggregating the
-  queue-depth timeline (steps, step cycles, tokens, prefills, queued/running
-  sums and maxima, KV-page peaks, preemptions) instead of one ``StepSample``
-  per step.  Integer sums are exact, so streaming ``queue_depth()`` means are
-  bit-identical to the full-mode means over the same steps,
-* :class:`StreamingStats` — the per-run bundle the engine feeds:
-  TTFT / TPOT / e2e sketches (aggregate and per priority class), request and
-  token counters, busy cycles and the windowed timeline.  The report memory
-  of a streaming run is O(windows + sketch buckets), independent of the
-  request count.
+  serializable.  The ``"streaming"`` report mode feeds sketches as the run
+  goes and keeps no records at all.
+
+The timeline is a :class:`WindowedTimeline` in both modes: fixed cycle-width
+windows aggregating steps, step cycles, tokens, prefills, queued/running sums
+and maxima, KV-page peaks and preemptions.  Integer sums are exact, so
+``queue_depth()`` is bit-identical across the two modes over the same steps.
+A streaming run's report memory is O(windows + sketch buckets), independent of
+the request count.
 
 Everything here is duck-typed against the record/step objects (attribute
 access only) so the module imports nothing from :mod:`repro.serve.report` —
-``report`` imports *us* for the streaming field on ``ServingReport``.
+``report`` imports *us*.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.errors import ConfigError
 
@@ -49,9 +53,89 @@ DEFAULT_SKETCH_ACCURACY = 0.01
 #: default streaming-timeline window width in cycles
 DEFAULT_WINDOW_CYCLES = 100_000.0
 
-#: the percentile points every summary reports (mirrors report.PERCENTILE_POINTS;
-#: duplicated here because report imports this module, not the other way round)
-_PERCENTILE_POINTS = (50, 90, 95, 99)
+#: the percentile points every latency summary reports
+PERCENTILE_POINTS = (50, 90, 95, 99)
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: the ``ceil(q/100 * n)``-th smallest sample.
+
+    Deterministic, interpolation-free and always an observed value; ``q=0``
+    returns the minimum, ``q=100`` the maximum.  Raises on an empty sample.
+    """
+    if not values:
+        raise ConfigError("percentile of an empty sample")
+    if not 0 <= q <= 100:
+        raise ConfigError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return float(ordered[rank - 1])
+
+
+def _empty_summary() -> Dict[str, float]:
+    return {"mean": 0.0, "max": 0.0, **{f"p{q}": 0.0 for q in PERCENTILE_POINTS},
+            "count": 0.0}
+
+
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """Mean / max / nearest-rank percentiles of a latency sample.
+
+    The sample is sorted **once** and every percentile point indexes into the
+    sorted copy.  ``count`` distinguishes an empty sample from genuinely zero
+    latencies: a replica that completed nothing reports ``count`` 0 with
+    zeroed statistics, not a perfect p99 of 0.0.
+    """
+    if not values:
+        return _empty_summary()
+    ordered = sorted(values)
+    n = len(ordered)
+    # the mean accumulates in observation order (not sorted order): float
+    # addition is order-sensitive and the pre-fix values are pinned
+    summary = {"mean": float(sum(values) / n), "max": float(ordered[-1])}
+    for q in PERCENTILE_POINTS:
+        rank = max(1, math.ceil(q / 100.0 * n))
+        summary[f"p{q}"] = float(ordered[rank - 1])
+    summary["count"] = float(n)
+    return summary
+
+
+def _check_threshold(threshold: float) -> None:
+    if math.isnan(threshold):
+        raise ConfigError("an SLO threshold must be a number, got NaN")
+
+
+class ExactSample:
+    """A list-backed latency sample with exact nearest-rank summaries.
+
+    The ``"full"``-mode backend.  It keeps every ``(order, value)`` pair:
+    :meth:`summarize` sums in observation order, and :meth:`merge` interleaves
+    two samples by ``order`` (the request id) with a stable merge.  A fleet's
+    merged sample therefore sums in request-id order, exactly like the
+    id-sorted request records it was built from — concatenating replica
+    samples instead would change the fleet means in the last bits.
+    """
+
+    def __init__(self) -> None:
+        self._pairs: List[Tuple[int, float]] = []
+
+    @property
+    def count(self) -> int:
+        return len(self._pairs)
+
+    def observe(self, value: float, order: int = 0) -> None:
+        self._pairs.append((order, value))
+
+    def merge(self, other: "ExactSample") -> None:
+        # a stable sort keeps this sample's pairs first among equal orders
+        self._pairs = sorted(self._pairs + other._pairs, key=itemgetter(0))
+
+    def count_le(self, threshold: float) -> int:
+        """Observations at or below ``threshold`` (``inf`` counts them all)."""
+        _check_threshold(threshold)
+        return sum(1 for _, value in self._pairs if value <= threshold)
+
+    def summarize(self) -> Dict[str, float]:
+        return summarize([value for _, value in self._pairs])
 
 
 class QuantileSketch:
@@ -86,8 +170,8 @@ class QuantileSketch:
         # rel_accuracy of every value the bucket holds
         return 2.0 * self._gamma ** index / (self._gamma + 1.0)
 
-    def observe(self, value: float) -> None:
-        """Fold one observation into the sketch."""
+    def observe(self, value: float, order: int = 0) -> None:
+        """Fold one observation into the sketch (``order`` is not kept)."""
         value = float(value)
         if value < 0.0:
             raise ConfigError(f"QuantileSketch observes latencies (>= 0), "
@@ -133,9 +217,13 @@ class QuantileSketch:
         Exact except for values within ``rel_accuracy`` of the threshold
         itself: the bucket containing the threshold is counted whole, so the
         answer may include values up to ``threshold * (1 + rel_accuracy)``.
+        ``inf`` counts every observation; NaN is a :class:`ConfigError`.
         """
+        _check_threshold(threshold)
         if threshold < 0.0:
             return 0
+        if threshold == math.inf:
+            return self.count
         total = self.zero_count
         if threshold == 0.0:
             return total
@@ -146,14 +234,12 @@ class QuantileSketch:
         return total
 
     def summarize(self) -> Dict[str, float]:
-        """The same summary shape as :func:`repro.serve.report.summarize`."""
+        """The same summary shape as :func:`summarize`."""
         if self.count == 0:
-            return {"mean": 0.0, "max": 0.0,
-                    **{f"p{q}": 0.0 for q in _PERCENTILE_POINTS},
-                    "count": 0.0}
+            return _empty_summary()
         return {"mean": float(self.mean), "max": float(self.max),
                 **{f"p{q}": float(self.quantile(q))
-                   for q in _PERCENTILE_POINTS},
+                   for q in PERCENTILE_POINTS},
                 "count": float(self.count)}
 
     def merge(self, other: "QuantileSketch") -> None:
@@ -394,50 +480,82 @@ class WindowedTimeline:
 
 
 class StreamingStats:
-    """Everything a streaming-mode serving run reports, in O(1) memory.
+    """Every aggregate a serving report carries, over one sample backend.
 
     The engine feeds :meth:`observe_step` once per scheduler step and
-    :meth:`observe_request` once per completion — instead of appending to the
-    full-mode record/step lists — and :class:`~repro.serve.report.
-    ServingReport` dispatches its aggregates here when the field is present.
+    :meth:`observe_request` once per completion.  ``exact=False`` (the
+    ``"streaming"`` report mode) folds latencies into :class:`QuantileSketch`
+    backends as the run goes, in O(1) memory; ``exact=True`` keeps
+    :class:`ExactSample` backends, which is what a ``"full"``-mode report
+    builds from its records (:meth:`of_records`).
+    :class:`~repro.serve.report.ServingReport` and
+    :class:`~repro.serve.report.FleetReport` read every aggregate from here.
     """
 
     def __init__(self, rel_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                 window_cycles: float = DEFAULT_WINDOW_CYCLES) -> None:
+                 window_cycles: float = DEFAULT_WINDOW_CYCLES,
+                 exact: bool = False) -> None:
         self.rel_accuracy = float(rel_accuracy)
-        self.ttft = QuantileSketch(rel_accuracy)
-        self.tpot = QuantileSketch(rel_accuracy)
-        self.e2e = QuantileSketch(rel_accuracy)
+        self.exact = exact
+        self.ttft = self._sample()
+        self.tpot = self._sample()
+        self.e2e = self._sample()
         self.timeline = WindowedTimeline(window_cycles)
-        #: priority class -> {"ttft": sketch, "tpot": sketch, "e2e": sketch}
-        self._classes: Dict[int, Dict[str, QuantileSketch]] = {}
+        #: priority class -> {"ttft": sample, "tpot": sample, "e2e": sample}
+        self._classes: Dict[int, Dict[str, Any]] = {}
         self.num_requests = 0
         self.total_output_tokens = 0
         self.num_steps = 0
         self.busy_cycles = 0.0
 
-    def _class_sketches(self, priority: int) -> Dict[str, QuantileSketch]:
+    def _sample(self):
+        return ExactSample() if self.exact else QuantileSketch(self.rel_accuracy)
+
+    @classmethod
+    def of_records(cls, requests: Iterable, steps: Sequence) -> "StreamingStats":
+        """A full-mode run's records and steps folded into exact samples."""
+        stats = cls(exact=True)
+        for record in requests:
+            stats.observe_request(record)
+        for sample in steps:
+            stats.observe_step(sample)
+        # the built-in sum, as full-mode busy cycles have always been summed
+        # (Python >= 3.12 compensates a float sum; a running += does not)
+        stats.busy_cycles = float(sum(s.cycles for s in steps))
+        return stats
+
+    @classmethod
+    def merged(cls, parts: Sequence["StreamingStats"]) -> "StreamingStats":
+        """A fresh accumulator holding every one of ``parts``, in order (the
+        fleet aggregation); no parts is an empty exact accumulator."""
+        first = parts[0] if parts else cls(exact=True)
+        total = cls(first.rel_accuracy, first.timeline.window_cycles,
+                    exact=first.exact)
+        for part in parts:
+            total.merge(part)
+        return total
+
+    def _class_samples(self, priority: int) -> Dict[str, Any]:
         trio = self._classes.get(priority)
         if trio is None:
             trio = self._classes[priority] = {
-                "ttft": QuantileSketch(self.rel_accuracy),
-                "tpot": QuantileSketch(self.rel_accuracy),
-                "e2e": QuantileSketch(self.rel_accuracy),
-            }
+                "ttft": self._sample(), "tpot": self._sample(),
+                "e2e": self._sample()}
         return trio
 
     def observe_request(self, record) -> None:
         """Fold one completed request (anything with the record attributes)."""
+        order = record.request_id
         self.num_requests += 1
         self.total_output_tokens += record.output_tokens
-        trio = self._class_sketches(record.priority)
-        self.ttft.observe(record.ttft)
-        trio["ttft"].observe(record.ttft)
-        self.e2e.observe(record.e2e)
-        trio["e2e"].observe(record.e2e)
+        trio = self._class_samples(record.priority)
+        self.ttft.observe(record.ttft, order)
+        trio["ttft"].observe(record.ttft, order)
+        self.e2e.observe(record.e2e, order)
+        trio["e2e"].observe(record.e2e, order)
         if record.output_tokens > 1:
-            self.tpot.observe(record.tpot)
-            trio["tpot"].observe(record.tpot)
+            self.tpot.observe(record.tpot, order)
+            trio["tpot"].observe(record.tpot, order)
 
     def observe_step(self, sample) -> None:
         """Fold one scheduler step (anything with the StepSample attributes)."""
@@ -445,35 +563,26 @@ class StreamingStats:
         self.busy_cycles += sample.cycles
         self.timeline.observe(sample)
 
-    # -- the ServingReport-facing aggregates -----------------------------------------
-    def queue_depth(self) -> Dict[str, float]:
-        return self.timeline.queue_depth()
-
-    def utilization_heatmap(self, batch_cap: int) -> List[Dict[str, float]]:
-        """Per-window batch-fill / KV-occupancy rows (see the timeline)."""
-        return self.timeline.utilization_heatmap(batch_cap)
-
+    # -- the report-facing aggregates ------------------------------------------------
     def priority_classes(self) -> Tuple[int, ...]:
         return tuple(sorted(self._classes))
 
     def per_priority(self) -> Dict[int, Dict[str, Any]]:
-        """The same shape as :func:`repro.serve.report.priority_breakdown`."""
-        breakdown: Dict[int, Dict[str, Any]] = {}
-        for cls in sorted(self._classes):
-            trio = self._classes[cls]
-            breakdown[cls] = {
-                "requests": trio["ttft"].count,
-                "ttft": trio["ttft"].summarize(),
-                "tpot": trio["tpot"].summarize(),
-                "e2e": trio["e2e"].summarize(),
-            }
-        return breakdown
+        """Per-priority-class request counts and TTFT / TPOT / e2e summaries.
+
+        The signal a priority or SLO-deadline policy is supposed to move:
+        class 0 should hold its tail while lower classes absorb the queueing.
+        """
+        return {cls: {"requests": trio["ttft"].count,
+                      "ttft": trio["ttft"].summarize(),
+                      "tpot": trio["tpot"].summarize(),
+                      "e2e": trio["e2e"].summarize()}
+                for cls, trio in sorted(self._classes.items())}
 
     def slo_attainment(self, ttft_slo: float) -> float:
         """Fraction of requests whose TTFT met the SLO (sketch-resolution)."""
-        if self.num_requests == 0:
-            return 0.0
-        return self.ttft.count_le(ttft_slo) / self.num_requests
+        met = self.ttft.count_le(ttft_slo)
+        return met / self.num_requests if self.num_requests else 0.0
 
     def slo_attainment_by_priority(self, ttft_slo: float) -> Dict[int, float]:
         return {cls: trio["ttft"].count_le(ttft_slo) / trio["ttft"].count
@@ -482,12 +591,16 @@ class StreamingStats:
 
     def merge(self, other: "StreamingStats") -> None:
         """Fold another run's stats in (the fleet aggregation path)."""
+        if other.exact != self.exact:
+            raise ConfigError(
+                "cannot merge exact (report_mode='full') and sketch "
+                "(report_mode='streaming') serving stats")
         self.ttft.merge(other.ttft)
         self.tpot.merge(other.tpot)
         self.e2e.merge(other.e2e)
         self.timeline.merge(other.timeline)
         for cls, trio in other._classes.items():
-            mine = self._class_sketches(cls)
+            mine = self._class_samples(cls)
             for key in ("ttft", "tpot", "e2e"):
                 mine[key].merge(trio[key])
         self.num_requests += other.num_requests
@@ -496,6 +609,7 @@ class StreamingStats:
         self.busy_cycles += other.busy_cycles
 
     def to_dict(self) -> Dict[str, Any]:
+        """The sketch backend's payload (exact stats are rebuilt from records)."""
         return {
             "rel_accuracy": self.rel_accuracy,
             "num_requests": self.num_requests,
@@ -528,19 +642,3 @@ class StreamingStats:
                        for name, sk in trio.items()}
             for key, trio in payload["classes"].items()}
         return stats
-
-
-def resolve_report_mode(mode: str) -> str:
-    """Validate a report mode name (``"full"`` or ``"streaming"``)."""
-    if mode not in REPORT_MODES:
-        raise ConfigError(f"unknown report mode {mode!r}; "
-                          f"expected one of {list(REPORT_MODES)}")
-    return mode
-
-
-def make_streaming_stats(rel_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                         window_cycles: float = DEFAULT_WINDOW_CYCLES,
-                         ) -> StreamingStats:
-    """A fresh :class:`StreamingStats` (the engine's constructor hook)."""
-    return StreamingStats(rel_accuracy=rel_accuracy,
-                          window_cycles=window_cycles)

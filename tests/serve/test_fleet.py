@@ -1,10 +1,13 @@
 """Fleet-scale serving: dispatch, routing, warm-up, autoscaling, determinism."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.core.errors import ConfigError
+from repro.costmodel.models import CalibratedCostModel
 from repro.schedules import Schedule
 from repro.serve import (AutoscalerConfig, FleetConfig, FleetReport,
                          FleetWorkload, ServeConfig, burst_trace,
@@ -419,3 +422,67 @@ class TestKVRouting:
         restored = FleetReport.from_dict(fleet.to_dict())
         assert restored.to_dict() == fleet.to_dict()
         assert restored.metrics() == fleet.metrics()
+
+
+# ---------------------------------------------------------------------------
+# Golden: a 4-replica full-mode fleet, pinned bit-exact
+# ---------------------------------------------------------------------------
+
+#: recorded from the record-merging FleetReport (request records concatenated
+#: across replicas and sorted by request id, then summarized) before fleet
+#: aggregates moved onto merged exact samples
+FLEET_GOLDEN = json.loads(
+    (Path(__file__).parent / "fleet_full_golden.json").read_text())
+
+#: Python >= 3.12 compensates float ``sum()``, which moves the last bits of
+#: the sample means; the golden carries those means under both semantics
+COMPENSATED_SUM = sum([0.1] * 10) == 1.0
+
+#: integer coefficients keep every step cost an integer, so no engine runs
+#: and busy-cycle sums are exact in any order
+PIN_COST_MODEL = CalibratedCostModel(
+    coefficients=(400.0, 3.0, 50.0, 0.25),
+    feature_min=(1.0, 1.0, 1.0, 64.0), feature_max=(1.0, 4096.0, 64.0, 1e6),
+    num_probes=4, residual_mean_rel=0.0, residual_max_rel=0.0,
+    cycles_min=1.0, cycles_max=1e6)
+
+
+def _pinned_fleet(model, routing):
+    base = poisson_trace(rate=2000.0, num_requests=40, seed=11,
+                         prompt_mean=48.0, prompt_max=256,
+                         output_mean=6.0, output_max=16)
+    requests = base.requests
+    # three priority classes interleaved by id: every class spans replicas
+    trace = trace_from_lists([r.arrival for r in requests],
+                             [r.prompt_tokens for r in requests],
+                             [r.output_tokens for r in requests],
+                             name="fleet-pin",
+                             priorities=[r.request_id % 3 for r in requests])
+    config = fleet_config(model, num_replicas=4, routing=routing,
+                          cost_model=PIN_COST_MODEL)
+    return simulate_fleet(config, trace, Schedule.dynamic())
+
+
+def _expected(routing):
+    expected = json.loads(json.dumps(FLEET_GOLDEN[routing]))
+    if COMPENSATED_SUM:
+        override = FLEET_GOLDEN["compensated_sum"][routing]
+        expected["metrics"].update(override["metrics"])
+        for cls, metrics in override["per_priority"].items():
+            for metric, values in metrics.items():
+                expected["per_priority"][cls][metric].update(values)
+    return expected
+
+
+class TestMultiReplicaFullModeGolden:
+    """Fleet means sum in request-id order across replicas: merging replica
+    samples by concatenation instead changes these values in the last bits."""
+
+    @pytest.mark.parametrize("routing", ["round-robin", "least-loaded"])
+    def test_metrics_and_per_priority_are_bit_exact(self, model, routing):
+        fleet = _pinned_fleet(model, routing)
+        expected = _expected(routing)
+        assert fleet.num_replicas == 4
+        assert fleet.metrics() == expected["metrics"]
+        assert {str(cls): payload for cls, payload
+                in fleet.per_priority().items()} == expected["per_priority"]

@@ -26,8 +26,8 @@ from repro.serve import (QuantileSketch, ServeConfig, ServingReport,
                          trace_from_lists)
 from repro.serve.generators import generate_trace
 from repro.serve.library import _serve_model
-from repro.serve.report import StepSample, percentile
-from repro.serve.streaming import make_streaming_stats, resolve_report_mode
+from repro.serve.report import StepSample
+from repro.serve.streaming import ExactSample, percentile, summarize
 
 QS = (50, 90, 95, 99)
 
@@ -227,14 +227,16 @@ class TestWindowedTimeline:
 
 
 class _FakeRecord:
-    def __init__(self, ttft, tpot, e2e, output_tokens=4, priority=0):
+    def __init__(self, ttft, tpot, e2e, output_tokens=4, priority=0,
+                 request_id=0):
         self.ttft, self.tpot, self.e2e = ttft, tpot, e2e
         self.output_tokens, self.priority = output_tokens, priority
+        self.request_id = request_id
 
 
 class TestStreamingStats:
     def _stats(self, records, steps=()):
-        stats = make_streaming_stats(rel_accuracy=0.01, window_cycles=1000.0)
+        stats = StreamingStats(rel_accuracy=0.01, window_cycles=1000.0)
         for record in records:
             stats.observe_request(record)
         for sample in steps:
@@ -284,14 +286,15 @@ class TestStreamingStats:
         json.dumps(whole.to_dict())
 
 
-class TestResolveReportMode:
+class TestReportMode:
     def test_accepts_known_modes(self):
-        assert resolve_report_mode("full") == "full"
-        assert resolve_report_mode("streaming") == "streaming"
+        model = _serve_model(32)
+        for mode in ("full", "streaming"):
+            assert ServeConfig(model=model, report_mode=mode).report_mode == mode
 
     def test_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            resolve_report_mode("compact")
+        with pytest.raises(ConfigError, match="report_mode"):
+            ServeConfig(model=_serve_model(32), report_mode="compact")
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +358,75 @@ class TestStreamingServeEquivalence:
         payload = streaming.to_dict()
         assert payload["requests"] == []
         assert payload["steps"] == []
+
+
+class TestExactSample:
+    def test_summary_is_the_exact_nearest_rank_summary(self):
+        values = [5.0, 1.0, 5.0, 3.0, 9.0, 1.0, 7.0]
+        sample = ExactSample()
+        for order, value in enumerate(values):
+            sample.observe(value, order)
+        assert sample.count == len(values)
+        assert sample.summarize() == summarize(values)
+        assert sample.count_le(5.0) == 5
+
+    def test_merge_interleaves_by_order(self):
+        # replica samples are each id-sorted; the merge restores global id
+        # order, which is the order the mean sums in
+        left, right = ExactSample(), ExactSample()
+        for order, value in ((0, 0.1), (2, 0.3), (4, 0.7)):
+            left.observe(value, order)
+        for order, value in ((1, 0.2), (3, 0.5)):
+            right.observe(value, order)
+        left.merge(right)
+        assert [value for _, value in left._pairs] == [0.1, 0.2, 0.3, 0.5, 0.7]
+        assert left.summarize() == summarize([0.1, 0.2, 0.3, 0.5, 0.7])
+
+    def test_merge_keeps_equal_orders_stable(self):
+        left, right = ExactSample(), ExactSample()
+        left.observe(1.0, 7)
+        right.observe(2.0, 7)
+        left.merge(right)
+        assert [value for _, value in left._pairs] == [1.0, 2.0]
+
+    def test_mixed_backends_do_not_merge(self):
+        exact = StreamingStats(exact=True)
+        sketch = StreamingStats()
+        with pytest.raises(ConfigError, match="cannot merge"):
+            exact.merge(sketch)
+        with pytest.raises(ConfigError, match="cannot merge"):
+            StreamingStats.merged([sketch, exact])
+
+
+class TestSloThresholds:
+    """An infinite SLO admits every request in both report modes; a NaN SLO
+    is a ConfigError in both (it used to crash only the streaming path)."""
+
+    def test_backends_count_everything_under_inf(self):
+        sketch, exact = fill([0.0, 1.0, 250.0]), ExactSample()
+        for value in (0.0, 1.0, 250.0):
+            exact.observe(value)
+        assert sketch.count_le(float("inf")) == 3
+        assert exact.count_le(float("inf")) == 3
+        for backend in (sketch, exact):
+            with pytest.raises(ConfigError, match="NaN"):
+                backend.count_le(float("nan"))
+
+    def test_infinite_slo_in_both_modes(self, paired_reports):
+        inf = float("inf")
+        for report in paired_reports:
+            assert report.slo_attainment(inf) == 1.0
+            assert report.slo_goodput(inf) == report.goodput
+            assert report.slo_attainment_by_priority(inf) == {
+                cls: 1.0 for cls in report.priority_classes()}
+
+    def test_nan_slo_in_both_modes(self, paired_reports):
+        nan = float("nan")
+        for report in paired_reports:
+            for method in (report.slo_attainment, report.slo_goodput,
+                           report.slo_attainment_by_priority):
+                with pytest.raises(ConfigError, match="NaN"):
+                    method(nan)
 
 
 class TestStreamingMemoryCeiling:
