@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 from ..platforms import PlatformLike, resolve_platform
 from ..schedules import Schedule
 from ..serve.arrivals import quantize_up
@@ -166,7 +167,9 @@ def calibrate_model(model, schedule: Optional[Schedule] = None,
     fitted = fit_from_probes(fit_set, kind=kind, context_hash=context,
                              kv_tile_rows=kv_tile_rows,
                              extrapolation=extrapolation)
-    residuals = [abs(fitted.predict(t, k) - c) / max(c, 1.0)
+    # held-out probes may lie outside the fit set's ranges: score them on
+    # clamped features without the guard meant for serving signatures
+    residuals = [abs(fitted.predict_clamped(t, k) - c) / max(c, 1.0)
                  for t, k, c in held_out]
     report: Dict[str, Any] = {
         "kind": fitted.kind,
@@ -176,7 +179,7 @@ def calibrate_model(model, schedule: Optional[Schedule] = None,
         "probes": len(probes),
         "fit_probes": len(fit_set),
         "holdout_probes": len(held_out),
-        "holdout_mean_rel": (sum(residuals) / len(residuals)
+        "holdout_mean_rel": (left_sum(residuals) / len(residuals)
                              if residuals else 0.0),
         "holdout_max_rel": max(residuals, default=0.0),
     }

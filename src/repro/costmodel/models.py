@@ -36,6 +36,7 @@ clamped to the probed range with a :class:`CostModelExtrapolationWarning`
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
@@ -43,6 +44,7 @@ from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 from ..serve.registry import attach_registry, resolve_registered, seal_builtins
 
 #: relative tolerance on serving percentiles (TTFT/TPOT/e2e) that the
@@ -128,6 +130,16 @@ class CostModel:
     def predict(self, num_tokens: int, kv_lengths: Sequence[int]) -> float:
         raise NotImplementedError
 
+    def predict_clamped(self, num_tokens: int,
+                        kv_lengths: Sequence[int]) -> float:
+        """:meth:`predict` on features clamped to the probed ranges, unguarded.
+
+        Equals ``predict`` under ``extrapolation="clamp"`` but never warns
+        or raises: calibration scores its held-out probes with it, and those
+        may lie outside the fit set's ranges by construction.
+        """
+        raise NotImplementedError
+
     def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
 
@@ -153,12 +165,17 @@ def _validate_extrapolation(mode: str) -> None:
                           f"expected one of {list(EXTRAPOLATION_MODES)}")
 
 
-def _guard_features(features: Tuple[float, ...], lo: Tuple[float, ...],
-                    hi: Tuple[float, ...], mode: str,
-                    kind: str) -> Tuple[float, ...]:
-    """Clamp-with-warning or raise when ``features`` leave the probed range."""
-    if all(l <= f <= h for f, l, h in zip(features, lo, hi)):
-        return features
+def _in_range(features: Tuple[float, ...], lo: Tuple[float, ...],
+              hi: Tuple[float, ...]) -> bool:
+    return (all(map(operator.le, lo, features))
+            and all(map(operator.le, features, hi)))
+
+
+def _check_range(features: Tuple[float, ...], lo: Tuple[float, ...],
+                 hi: Tuple[float, ...], mode: str, kind: str) -> None:
+    """Warn (``clamp``) or raise (``raise``) when ``features`` leave the range."""
+    if _in_range(features, lo, hi):
+        return
     if mode == "raise":
         raise ConfigError(
             f"{kind} cost model: signature features {features} fall outside "
@@ -169,7 +186,13 @@ def _guard_features(features: Tuple[float, ...], lo: Tuple[float, ...],
         f"{kind} cost model: signature features {features} fall outside the "
         f"probed ranges (min {lo}, max {hi}); clamping to the probed range",
         CostModelExtrapolationWarning, stacklevel=3)
-    return tuple(min(max(f, l), h) for f, l, h in zip(features, lo, hi))
+
+
+def _clamp(features: Tuple[float, ...], lo: Tuple[float, ...],
+           hi: Tuple[float, ...]) -> Tuple[float, ...]:
+    if _in_range(features, lo, hi):
+        return features
+    return tuple(map(min, map(max, features, lo), hi))
 
 
 def _probe_tuples(probes: Sequence[Sequence[Any]]) -> Tuple[Probe, ...]:
@@ -257,12 +280,17 @@ class TableCostModel(CostModel):
         object.__setattr__(self, "_scale", scale)
 
     def predict(self, num_tokens: int, kv_lengths: Sequence[int]) -> float:
+        _check_range(signature_features(num_tokens, kv_lengths), self._lo,
+                     self._hi, self.extrapolation, self.kind)
+        return self.predict_clamped(num_tokens, kv_lengths)
+
+    def predict_clamped(self, num_tokens: int,
+                        kv_lengths: Sequence[int]) -> float:
         exact = self._lookup.get((num_tokens, tuple(kv_lengths)))
         if exact is not None:
             return exact
-        features = _guard_features(signature_features(num_tokens, kv_lengths),
-                                   self._lo, self._hi, self.extrapolation,
-                                   self.kind)
+        features = _clamp(signature_features(num_tokens, kv_lengths),
+                          self._lo, self._hi)
         deltas = (self._features - np.array(features)) / self._scale
         distances = np.einsum("ij,ij->i", deltas, deltas)
         order = np.argsort(distances, kind="stable")[:self.neighbors]
@@ -334,10 +362,16 @@ class CalibratedCostModel(CostModel):
                               ">= 1 (the probe budget cannot be empty)")
 
     def predict(self, num_tokens: int, kv_lengths: Sequence[int]) -> float:
-        features = _guard_features(signature_features(num_tokens, kv_lengths),
-                                   self.feature_min, self.feature_max,
-                                   self.extrapolation, self.kind)
-        cycles = sum(c * f for c, f in zip(self.coefficients, features))
+        _check_range(signature_features(num_tokens, kv_lengths),
+                     self.feature_min, self.feature_max, self.extrapolation,
+                     self.kind)
+        return self.predict_clamped(num_tokens, kv_lengths)
+
+    def predict_clamped(self, num_tokens: int,
+                        kv_lengths: Sequence[int]) -> float:
+        features = _clamp(signature_features(num_tokens, kv_lengths),
+                          self.feature_min, self.feature_max)
+        cycles = left_sum(map(operator.mul, self.coefficients, features))
         # a step always costs at least one cycle; an affine fit could dip
         # below on tiny signatures far from the probe mass
         return float(max(cycles, 1.0))

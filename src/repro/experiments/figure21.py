@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 from ..api import AttentionWorkload, Scenario
 from ..api import run as run_scenario
+from ..core.summation import left_sum
 from ..data.kv_traces import VarianceClass
 from ..sweep import SweepRunner, resolve_runner
 from .common import DEFAULT_SCALE, ExperimentScale, geomean, platform, kv_batches, qwen_model
@@ -73,7 +74,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
             per_strategy: Dict[str, List[float]] = {s: [] for s in _STRATEGIES}
             for sample in range(samples):
                 for strategy in _STRATEGIES:
-                    per_strategy[strategy].append(sum(
+                    per_strategy[strategy].append(left_sum(
                         cycles(variance, sample, batch, strategy)
                         for batch in class_batches))
             means = {s: geomean(per_strategy[s]) for s in _STRATEGIES}

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api.experiment import ExperimentSpec, register_experiment
+from ..core.summation import left_sum
 from ..platforms import Platform, platform_grid
 from ..schedules import Schedule
 from ..serve.library import OVERLOAD_LENGTHS, _serve_model
@@ -135,9 +136,9 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
             "final_slo_goodput_rpmc": goodput[-1],
             "cliff_ratio": (goodput[-1] / goodput[peak]
                             if goodput[peak] > 0 else 0.0),
-            "preemptions": float(sum(m["preemptions"] for m in series)),
-            "admission_stalls": float(sum(m["admission_stalls"]
-                                          for m in series)),
+            "preemptions": float(left_sum(m["preemptions"] for m in series)),
+            "admission_stalls": float(left_sum(m["admission_stalls"]
+                                               for m in series)),
         }
 
     return {

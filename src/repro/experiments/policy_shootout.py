@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api.experiment import ExperimentSpec, register_experiment
+from ..core.summation import left_sum
 from ..platforms import get_platform
 from ..schedules import Schedule
 from ..serve.library import OVERLOAD_LENGTHS, _serve_model
@@ -112,8 +113,8 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     summary: Dict[str, Dict[str, object]] = {}
     for platform in platforms:
         attainment = {
-            policy: (sum(m["slo_attainment"]
-                         for m in per_curve[(policy, platform)])
+            policy: (left_sum(m["slo_attainment"]
+                              for m in per_curve[(policy, platform)])
                      / len(rates))
             for policy in policies}
         winner = max(attainment, key=lambda p: attainment[p])

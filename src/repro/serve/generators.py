@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 from .arrivals import (DEFAULT_OUTPUT_MAX, DEFAULT_OUTPUT_MEAN,
                        DEFAULT_OUTPUT_SIGMA, DEFAULT_PROMPT_MAX,
                        DEFAULT_PROMPT_MEAN, DEFAULT_PROMPT_QUANTUM,
@@ -321,7 +322,7 @@ def multitenant_trace(rate: float, num_requests: int, seed: int = 0,
             raise ConfigError(f"tenant {idx} ({tenant.get('name', '?')!r}): "
                               f"share must be positive, got {share}")
         shares.append(share)
-    total_share = sum(shares)
+    total_share = left_sum(shares)
     # proportional counts, remainder to the earliest tenants
     counts = [int(num_requests * s / total_share) for s in shares]
     for idx in range(num_requests - sum(counts)):

@@ -54,7 +54,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..api.scenario import Scenario, register_scenario
-from ..core.errors import ConfigError
 from ..schedules import Schedule
 from ..workloads.configs import QWEN3_30B_A3B, scaled_config
 from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
@@ -422,16 +421,13 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
                     prompt_max: int = SMOKE_LENGTHS["prompt_max"],
                     output_mean: float = SMOKE_LENGTHS["output_mean"],
                     output_max: int = SMOKE_LENGTHS["output_max"],
-                    kv_tile_rows: int = 128, seed: int = 0,
-                    modes: Sequence[str] = ("full", "streaming")) -> Scenario:
+                    kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """One heavy-tailed trace reported in full vs streaming mode.
 
     Both cells serve the identical trace; the only difference is the report
     representation.  Counts, cycle totals, queue-depth means and goodput
     match exactly; percentiles differ by at most the sketch's relative
-    error.  ``modes`` picks the report cells — the bench suite's large-trace
-    case (``serve-streaming-large``) keeps only ``"streaming"`` so its much
-    bigger ``num_requests`` never materializes per-request records.
+    error.
     """
     from .generators import generate_trace
     from .scheduler import ServeWorkload
@@ -443,18 +439,12 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
                            output_mean=output_mean, output_max=output_max)
     common = dict(model=model, trace=trace, batch_cap=batch_cap,
                   num_layers=num_layers, kv_tile_rows=kv_tile_rows, seed=seed)
-    cells = {
-        "full": lambda: ServeWorkload(report_mode="full", **common),
-        "streaming": lambda: ServeWorkload(report_mode="streaming",
-                                           sketch_accuracy=sketch_accuracy,
-                                           window_cycles=window_cycles,
-                                           **common),
+    workloads = {
+        "full": ServeWorkload(report_mode="full", **common),
+        "streaming": ServeWorkload(report_mode="streaming",
+                                   sketch_accuracy=sketch_accuracy,
+                                   window_cycles=window_cycles, **common),
     }
-    unknown = [m for m in modes if m not in cells]
-    if unknown or not modes:
-        raise ConfigError(f"serve-streaming: modes must be a non-empty subset "
-                          f"of {sorted(cells)}, got {tuple(modes)}")
-    workloads = {mode: cells[mode]() for mode in modes}
     return Scenario(
         name="serve-streaming",
         workloads=workloads,

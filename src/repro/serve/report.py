@@ -56,6 +56,7 @@ from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 from .arrivals import MCYCLE
 from .memory import MemoryStats
 from .streaming import DEFAULT_WINDOW_CYCLES, StreamingStats, WindowedTimeline
@@ -505,7 +506,7 @@ class FleetReport(_Aggregates):
         if not self.replicas:
             return {"mean": 0.0, "min": 0.0, "max": 0.0}
         fractions = [r.utilization(self.total_cycles) for r in self.replicas]
-        return {"mean": float(sum(fractions) / len(fractions)),
+        return {"mean": float(left_sum(fractions) / len(fractions)),
                 "min": float(min(fractions)), "max": float(max(fractions))}
 
     @property
@@ -516,9 +517,10 @@ class FleetReport(_Aggregates):
         this near 1.0 where round-robin drifts upward under skewed traffic.
         """
         busy = [r.busy_cycles for r in self.replicas]
-        if not busy or sum(busy) == 0:
+        total = left_sum(busy)
+        if total == 0:
             return 0.0
-        return float(max(busy) / (sum(busy) / len(busy)))
+        return float(max(busy) / (total / len(busy)))
 
     # -- memory pressure (zeros when every replica's HBM is unbounded) ---------------
     @property
@@ -545,7 +547,7 @@ class FleetReport(_Aggregates):
                  if r.serving.memory is not None]
         if not stats:
             return {"mean": 0.0, "max": 0.0}
-        return {"mean": float(sum(m.occupancy_mean for m in stats) / len(stats)),
+        return {"mean": float(left_sum(m.occupancy_mean for m in stats) / len(stats)),
                 "max": float(max(m.occupancy_max for m in stats))}
 
     # -- flat metrics (what scenario grids and the sweep cache store) ----------------

@@ -43,6 +43,7 @@ from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 
 #: the report modes a ServeConfig may request
 REPORT_MODES = ("full", "streaming")
@@ -91,7 +92,7 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     n = len(ordered)
     # the mean accumulates in observation order (not sorted order): float
     # addition is order-sensitive and the pre-fix values are pinned
-    summary = {"mean": float(sum(values) / n), "max": float(ordered[-1])}
+    summary = {"mean": float(left_sum(values) / n), "max": float(ordered[-1])}
     for q in PERCENTILE_POINTS:
         rank = max(1, math.ceil(q / 100.0 * n))
         summary[f"p{q}"] = float(ordered[rank - 1])
@@ -519,9 +520,6 @@ class StreamingStats:
             stats.observe_request(record)
         for sample in steps:
             stats.observe_step(sample)
-        # the built-in sum, as full-mode busy cycles have always been summed
-        # (Python >= 3.12 compensates a float sum; a running += does not)
-        stats.busy_cycles = float(sum(s.cycles for s in steps))
         return stats
 
     @classmethod

@@ -35,6 +35,7 @@ from typing import Dict, Optional, Sequence
 
 
 from ..core.errors import ConfigError
+from ..core.summation import left_sum
 from ..platforms import resolve_platform
 from ..schedules import (Schedule, dynamic_tiling, parallelization, static_tiling,
                          time_multiplexing)
@@ -57,7 +58,7 @@ class LayerBreakdown:
 
     @property
     def layer_cycles(self) -> float:
-        return sum(self.cycles.values())
+        return left_sum(self.cycles.values())
 
     @property
     def layer_traffic(self) -> int:

@@ -8,6 +8,7 @@ import repro.api as api
 from repro.api import (ExperimentSpec, ResultCache, experiment,
                        experiment_descriptions, experiment_names, run_experiment)
 from repro.api.experiment import EXPERIMENTS, register_experiment
+from repro.api.scenario import SCENARIOS
 from repro.core.errors import ConfigError
 
 
@@ -42,13 +43,6 @@ class TestResolution:
         assert spec.kind == "scenario"
         assert spec.scenario.name == "serve-burst"
 
-    def test_bench_cases_resolve(self):
-        spec = experiment("figure9-dynamic-tiling")
-        assert spec.kind == "scenario"
-        assert spec.description
-        with pytest.raises(ConfigError):
-            experiment("figure9-dynamic-tiling", batch=3)
-
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             experiment("nonexistent-experiment")
@@ -56,11 +50,32 @@ class TestResolution:
     def test_names_and_descriptions_cover_all_sources(self):
         names = experiment_names()
         for expected in ("figure1", "figure15", "serve-latency", "serve-poisson",
-                         "dense-ffn", "figure15-batch-sweep"):
+                         "dense-ffn"):
             assert expected in names
+        # registered experiments and scenarios are the only two name sources
+        assert names == sorted(set(EXPERIMENTS) | set(SCENARIOS))
         descriptions = experiment_descriptions()
         assert set(descriptions) >= set(EXPERIMENTS)
         assert descriptions["serve-latency"]
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_every_listed_name_resolves_to_itself(self, name):
+        spec = experiment(name)
+        assert spec.name == name
+        assert experiment_descriptions()[name]
+        payload = json.loads(json.dumps(spec.to_dict()))
+        assert ExperimentSpec.from_dict(payload).to_dict() == spec.to_dict()
+
+    @pytest.mark.parametrize("name", ["figure15-batch-sweep",
+                                      "figure14-dynamic-parallelization",
+                                      "figure9-dynamic-tiling",
+                                      "figure12-timemux",
+                                      "serve-streaming-large",
+                                      "fleet-surrogate-sweep"])
+    def test_retired_benchmark_case_names_do_not_resolve(self, name):
+        assert name not in experiment_names()
+        with pytest.raises(ConfigError):
+            experiment(name)
 
     def test_register_experiment_duplicate_rejected(self):
         @register_experiment("_test-exp", "test entry")

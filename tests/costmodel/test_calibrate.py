@@ -11,11 +11,13 @@ The contract under test (:mod:`repro.costmodel.calibrate`):
 """
 
 import json
+import warnings
 
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.costmodel import (CalibratedCostModel, TableCostModel,
+from repro.costmodel import (CalibratedCostModel,
+                             CostModelExtrapolationWarning, TableCostModel,
                              calibrate_model, load_cost_model,
                              probe_signatures, run_probes)
 from repro.costmodel.__main__ import main as costmodel_main
@@ -107,6 +109,22 @@ class TestCalibrateModel:
         with pytest.raises(ConfigError, match="probe budget"):
             calibrate_model(_serve_model(64), budget=0)
 
+    @pytest.mark.parametrize("kind", ["calibrated", "table"])
+    @pytest.mark.parametrize("extrapolation", ["clamp", "raise"])
+    def test_holdout_scoring_skips_the_guard(self, kind, extrapolation):
+        """Held-out probes here lie outside the fit set's feature ranges;
+        scoring them neither warns nor raises, and the scores are the clamped
+        predictions, whatever extrapolation mode the fitted model carries."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CostModelExtrapolationWarning)
+            fitted, report = calibrate_model(
+                _serve_model(64), kind=kind, budget=16, batch_cap=4,
+                max_tokens=64, max_kv_rows=512, num_layers=1,
+                extrapolation=extrapolation)
+        assert fitted.extrapolation == extrapolation
+        assert report["holdout_probes"] > 0
+        assert report["holdout_max_rel"] >= report["holdout_mean_rel"] > 0.0
+
 
 class TestCLI:
     def _calibrate(self, *extra):
@@ -129,6 +147,12 @@ class TestCLI:
         capsys.readouterr()
         assert self._calibrate("--tolerance", "0.0") == 1
         assert "exceeds the tolerance" in capsys.readouterr().err
+
+    def test_raise_mode_exits_zero(self, capsys):
+        """A held-out probe of these settings has 33 tokens against a fit
+        set's maximum of 17: scoring it must not trip the guard."""
+        assert self._calibrate("--extrapolation", "raise") == 0
+        assert "outside the probed ranges" not in capsys.readouterr().err
 
     def test_config_errors_exit_2(self, capsys):
         assert self._calibrate("--budget", "0") == 2

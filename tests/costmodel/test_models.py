@@ -102,11 +102,15 @@ class TestTableCostModel:
         # clamped to the probed range: bounded by the probed cycle extremes
         cycles = [c for *_, c in affine_probes()]
         assert min(cycles) <= clamped <= max(cycles)
+        assert table.predict_clamped(4096, (65536,)) == clamped
 
     def test_extrapolation_raise_mode(self):
         table = TableCostModel(probes=affine_probes(), extrapolation="raise")
         with pytest.raises(ConfigError, match="extrapolation"):
             table.predict(4096, (65536,))
+        # the unguarded clamped prediction neither raises nor warns
+        assert table.predict_clamped(4096, (65536,)) == \
+            TableCostModel(probes=affine_probes()).predict_clamped(4096, (65536,))
 
     def test_unknown_extrapolation_mode(self):
         with pytest.raises(ConfigError, match="extrapolation"):
@@ -164,11 +168,15 @@ class TestCalibratedCostModel:
         # maxima while the in-range request count (2) is preserved
         assert clamped == pytest.approx(fitted.predict(64, (2048, 2048)),
                                         rel=1e-6)
+        assert fitted.predict_clamped(4096, (65536,) * 2) == clamped
 
     def test_extrapolation_raise_mode(self):
         fitted = fit_calibrated_model(affine_probes(), extrapolation="raise")
         with pytest.raises(ConfigError, match="recalibrate"):
             fitted.predict(4096, (65536,))
+        # the unguarded clamped prediction neither raises nor warns
+        assert fitted.predict_clamped(4096, (65536,)) == \
+            fit_calibrated_model(affine_probes()).predict_clamped(4096, (65536,))
 
     def test_json_round_trip(self):
         fitted = fit_calibrated_model(affine_probes(), context_hash="ctx",

@@ -434,10 +434,6 @@ class TestKVRouting:
 FLEET_GOLDEN = json.loads(
     (Path(__file__).parent / "fleet_full_golden.json").read_text())
 
-#: Python >= 3.12 compensates float ``sum()``, which moves the last bits of
-#: the sample means; the golden carries those means under both semantics
-COMPENSATED_SUM = sum([0.1] * 10) == 1.0
-
 #: integer coefficients keep every step cost an integer, so no engine runs
 #: and busy-cycle sums are exact in any order
 PIN_COST_MODEL = CalibratedCostModel(
@@ -463,25 +459,16 @@ def _pinned_fleet(model, routing):
     return simulate_fleet(config, trace, Schedule.dynamic())
 
 
-def _expected(routing):
-    expected = json.loads(json.dumps(FLEET_GOLDEN[routing]))
-    if COMPENSATED_SUM:
-        override = FLEET_GOLDEN["compensated_sum"][routing]
-        expected["metrics"].update(override["metrics"])
-        for cls, metrics in override["per_priority"].items():
-            for metric, values in metrics.items():
-                expected["per_priority"][cls][metric].update(values)
-    return expected
-
-
 class TestMultiReplicaFullModeGolden:
     """Fleet means sum in request-id order across replicas: merging replica
-    samples by concatenation instead changes these values in the last bits."""
+    samples by concatenation instead changes these values in the last bits.
+    The same values hold under either interpreter's built-in ``sum``."""
 
     @pytest.mark.parametrize("routing", ["round-robin", "least-loaded"])
-    def test_metrics_and_per_priority_are_bit_exact(self, model, routing):
+    def test_metrics_and_per_priority_are_bit_exact(self, model, routing,
+                                                    builtin_sum):
         fleet = _pinned_fleet(model, routing)
-        expected = _expected(routing)
+        expected = FLEET_GOLDEN[routing]
         assert fleet.num_replicas == 4
         assert fleet.metrics() == expected["metrics"]
         assert {str(cls): payload for cls, payload

@@ -54,7 +54,8 @@ def bounded_report(policy=None):
 
 
 class TestDefaultPolicyBitIdentity:
-    """The default ServePolicy pins the pre-refactor scheduler exactly."""
+    """The default ServePolicy pins the pre-refactor scheduler exactly, under
+    either interpreter's built-in ``sum``."""
 
     # pre-refactor goldens (PR 7 scheduler, captured before the policy layer)
     UNBOUNDED_TOTAL = 64741.71875
@@ -78,7 +79,7 @@ class TestDefaultPolicyBitIdentity:
         87560.78125, 100052.21875, 140968.421875, 145803.546875,
         198660.328125, 191046.921875, 234678.328125)
 
-    def test_unbounded_run_matches_golden(self):
+    def test_unbounded_run_matches_golden(self, builtin_sum):
         report = unbounded_report()
         assert report.total_cycles == self.UNBOUNDED_TOTAL
         assert len(report.steps) == 31
@@ -92,7 +93,7 @@ class TestDefaultPolicyBitIdentity:
         assert report.steps[0].start == 0.0
         assert report.steps[0].cycles == 2717.578125
 
-    def test_bounded_preemption_run_matches_golden(self):
+    def test_bounded_preemption_run_matches_golden(self, builtin_sum):
         report = bounded_report()
         assert report.total_cycles == self.BOUNDED_TOTAL
         assert len(report.steps) == 118

@@ -234,7 +234,7 @@ class TestGoldenServingRun:
         assert golden_report.total_cycles == pytest.approx(GOLDEN["total_cycles"],
                                                            rel=REL_TOL)
 
-    def test_rerun_is_bit_identical(self, golden_report):
+    def test_rerun_is_bit_identical(self, golden_report, builtin_sum):
         assert _golden_report().to_dict() == golden_report.to_dict()
 
     def test_round_trip_preserves_golden_metrics(self, golden_report):
